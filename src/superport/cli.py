@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 from .forests import (
     DEFAULT_CAP,
     CapExceeded,
-    ForestEnsemble,
+    enumerate_spanning_forests,
     is_relatively_valid,
     is_valid,
 )
@@ -28,9 +29,9 @@ from .network import (
     SchemaError,
     load_circuit,
     load_network,
+    network_from_data,
     network_to_data,
     solution_to_data,
-    validate_and_canonicalize,
 )
 from .solver import SolverError, response_matrices, solve
 from .verify import (
@@ -68,7 +69,7 @@ def _load_raw(path: str) -> dict:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     raw = _load_raw(args.network)
-    net, mapping = validate_and_canonicalize(raw, merge_parallel=args.merge_parallel)
+    net, mapping = network_from_data(raw, merge_parallel=args.merge_parallel)
     if args.format == "json":
         print(json.dumps(network_to_data(net), indent=2))
     else:
@@ -137,14 +138,11 @@ def cmd_forests(args: argparse.Namespace) -> int:
     elif kind == "valid":
         keep = lambda f: is_valid(f, net)
     elif kind == "all":
-        keep = lambda f: True
+        keep = None
     else:
         print(f"unknown kind {kind!r}", file=sys.stderr)
         return 2
-    ensemble = ForestEnsemble(net, cap=args.cap)
-    for f in ensemble.forests:
-        if not keep(f):
-            continue
+    for f in enumerate_spanning_forests(net, keep, cap=args.cap):
         line = " ".join(str(e) for e in f.edges)
         if args.weights:
             line += "\t" + rat_str(f.weight)
@@ -300,6 +298,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped early, as `superport forests F | head` does: not
+        # a failure; stdout goes to devnull so the exit-time flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 2

@@ -1,9 +1,15 @@
 """Exact dense linear algebra over rational scalars.
 
 All scalars are `fractions.Fraction`: stored reduced, positive denominator,
-exact arithmetic throughout.  Matrices are immutable, dense, and small, so
-determinants and inverses use plain Gaussian elimination; that is the right
-trade-off at the sizes this package meets (n <= ~20).
+exact arithmetic throughout; floats and bools are rejected.  Matrices are
+immutable, dense, and small, so one plain Gaussian forward-elimination
+kernel, `_eliminate`, does all the work: eliminating the leading k columns
+yields the determinant of the leading k x k block and leaves its Schur
+complement in the trailing block.  `det` eliminates everything,
+`schur_complement` moves the dropped positions first, and `invert` and
+`solve_linear_system` read A^-1 B off the Schur complement of A in
+[[A, B], [-I, 0]].  Plain elimination is the right trade-off at the sizes
+this package meets (n <= ~30).
 
 Rows and columns may carry integer labels (vertex numbers), which lets
 callers drive row/column operations by vertex identity instead of position.
@@ -79,13 +85,43 @@ def _check_labels(labels: Optional[Iterable[int]], count: int, axis: str):
     return tup
 
 
+def _eliminate(a: list[list[Fraction]], k: int) -> Fraction:
+    """Forward elimination of the first k columns of `a`, in place.
+
+    `a` is a list of at least k rows of equal length.  Pivots are sought
+    among the first k rows only, so the trailing rows keep their places.
+    Returns the determinant of the leading k x k block and leaves that
+    block's Schur complement in the trailing rows and columns, a[k:][k:];
+    raises SingularMatrix when the block is singular.  The entries left
+    below each pivot are stale and must not be read.
+    """
+    det = Fraction(1)
+    for col in range(k):
+        pivot_row = next((r for r in range(col, k) if a[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrix("matrix is singular")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            det = -det
+        prow = a[col]
+        pivot = prow[col]
+        det *= pivot
+        support = [c for c in range(col + 1, len(prow)) if prow[c]]
+        for row in a[col + 1:]:
+            if row[col]:
+                factor = row[col] / pivot
+                for c in support:
+                    row[c] -= factor * prow[c]
+    return det
+
+
 class Matrix:
     """Immutable rational matrix with optional integer row/column labels."""
 
     __slots__ = ("entries", "rows", "cols", "row_labels", "col_labels")
 
     def __init__(self, entries, row_labels=None, col_labels=None, labels=None):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        grid = tuple(tuple(rat(x) for x in row) for row in entries)
         rows = len(grid)
         cols = len(grid[0]) if rows else 0
         if any(len(row) != cols for row in grid):
@@ -217,7 +253,7 @@ class Matrix:
                             orow[j] += a * brow[j]
                 out.append(orow)
             return Matrix(out, row_labels=self.row_labels, col_labels=other.col_labels)
-        scalar = Fraction(other)
+        scalar = rat(other)
         return Matrix(
             [[scalar * a for a in row] for row in self.entries],
             row_labels=self.row_labels,
@@ -272,35 +308,14 @@ class Matrix:
         empty (0 x 0) matrix is 1."""
         if self.rows != self.cols:
             raise NonSquareMatrix(f"determinant of a {self.rows}x{self.cols} matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        a = [list(row) for row in self.entries]
-        result = Fraction(1)
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if a[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                a[col], a[pivot_row] = a[pivot_row], a[col]
-                result = -result
-            pivot = a[col][col]
-            result *= pivot
-            prow = a[col]
-            for r in range(col + 1, n):
-                factor = a[r][col] / pivot
-                if factor:
-                    arow = a[r]
-                    for c in range(col + 1, n):
-                        arow[c] -= factor * prow[c]
-        return result
+        try:
+            return _eliminate([list(row) for row in self.entries], self.rows)
+        except SingularMatrix:
+            return Fraction(0)
 
     def invert(self) -> "Matrix":
-        """Inverse by Gauss-Jordan elimination; raises SingularMatrix.
+        """Inverse as the Schur complement of A in [[A, I], [-I, 0]]; raises
+        SingularMatrix.
 
         Labels travel with the inverse map: the result's rows carry the
         original column labels and vice versa.
@@ -308,35 +323,12 @@ class Matrix:
         if self.rows != self.cols:
             raise NonSquareMatrix(f"inverse of a {self.rows}x{self.cols} matrix")
         n = self.rows
-        if n == 0:
-            return Matrix((), row_labels=self.col_labels, col_labels=self.row_labels)
-        a = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if a[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise SingularMatrix("matrix is singular")
-            if pivot_row != col:
-                a[col], a[pivot_row] = a[pivot_row], a[col]
-            pivot = a[col][col]
-            if pivot != 1:
-                inv = Fraction(1) / pivot
-                a[col] = [x * inv for x in a[col]]
-            prow = a[col]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = a[r][col]
-                if factor:
-                    arow = a[r]
-                    for c in range(col, 2 * n):
-                        arow[c] -= factor * prow[c]
+        eye = Matrix.identity(n).entries
+        a = [list(row) + list(e) for row, e in zip(self.entries, eye)]
+        a += [[-x for x in e] + [Fraction(0)] * n for e in eye]
+        _eliminate(a, n)
         return Matrix(
-            [row[n:] for row in a],
+            [row[n:] for row in a[n:]],
             row_labels=self.col_labels,
             col_labels=self.row_labels,
         )
@@ -346,58 +338,40 @@ class Matrix:
 
         `keep` lists 0-based row/column positions (the matrix must be
         square); the complementary block is eliminated and must be
-        invertible, otherwise SingularBlock is raised.
+        invertible, otherwise SingularBlock is raised.  The result carries
+        the kept labels.
         """
         if self.rows != self.cols:
             raise NonSquareMatrix("Schur complement of a non-square matrix")
         kept = sorted(set(keep))
         if any(i < 0 or i >= self.rows for i in kept):
             raise ValueError("keep positions out of range")
-        dropped = [i for i in range(self.rows) if i not in set(kept)]
+        dropped = [i for i in range(self.rows) if i not in kept]
         if not dropped:
             return self
-        a = self.submatrix(kept, kept)
-        b = self.submatrix(kept, dropped)
-        c = self.submatrix(dropped, kept)
-        d = self.submatrix(dropped, dropped)
+        d = len(dropped)
+        order = dropped + kept
+        a = [[self.entries[i][j] for j in order] for i in order]
         try:
-            d_inv = d.invert()
+            _eliminate(a, d)
         except SingularMatrix as exc:
             raise SingularBlock("eliminated block is singular") from exc
-        return a - b * d_inv * c
+        return Matrix(
+            [row[d:] for row in a[d:]],
+            row_labels=[self.row_labels[i] for i in kept] if self.row_labels else None,
+            col_labels=[self.col_labels[i] for i in kept] if self.col_labels else None,
+        )
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square exact linear system; raises SingularMatrix if singular."""
+    """Solve a square exact linear system A x = b as the Schur complement of
+    A in [[A, b], [-I, 0]]; raises SingularMatrix if A is singular."""
     n = len(rows)
     if len(rhs) != n:
         raise ValueError("right-hand side does not match the system")
-    if n == 0:
-        return []
     if any(len(row) != n for row in rows):
         raise ValueError("system matrix must be square")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularMatrix("linear system is singular")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        if pivot != 1:
-            inv = Fraction(1) / pivot
-            a[col] = [x * inv for x in a[col]]
-        prow = a[col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if factor:
-                arow = a[r]
-                for c in range(col, n + 1):
-                    arow[c] -= factor * prow[c]
-    return [a[i][n] for i in range(n)]
+    a = [[rat(x) for x in row] + [rat(b)] for row, b in zip(rows, rhs)]
+    a += [[-x for x in e] + [Fraction(0)] for e in Matrix.identity(n).entries]
+    _eliminate(a, n)
+    return [row[n] for row in a[n:]]

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,17 @@ class TestValidate:
                                "--format", "json")
         assert code == 0
         assert loads_network(out).conductance(1, 2) == 3
+
+    def test_unknown_field_rejected_like_response(self, capsys, tmp_path):
+        raw = json.loads(fixture_path("w-network.json").read_text())
+        raw["bogus"] = 1
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(raw))
+        for command in ("validate", "response"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert err == "SchemaError: $: unknown fields ['bogus']\n"
 
 
 class TestSolve:
@@ -206,6 +218,25 @@ class TestForests:
         )
         assert code == 2
         assert "CapExceeded" in err
+
+    def test_closed_pipe_is_not_a_failure(self, tmp_path):
+        # K7 less one edge: 20 edges and far more output than a pipe
+        # buffers, so the writer is still printing when the reader leaves
+        edges = [(u, v, 1) for u in range(1, 8) for v in range(u + 1, 8)][:-1]
+        path = write_network(tmp_path, canonical_network(edges, [[1]]))
+        err = tmp_path / "stderr.txt"
+        with open(err, "w") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "superport", "forests", path],
+                stdout=subprocess.PIPE, stderr=err_file, text=True,
+            )
+        try:
+            assert proc.stdout.readline() == "\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+        assert err.read_text() == ""
 
 
 class TestVerify:
@@ -378,3 +409,23 @@ class TestEntryPoints:
         for name in ("validate", "solve", "response", "forests", "verify",
                      "count", "boxh"):
             assert name in out
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenOutput:
+    """Reference text output of two commands; it must not change by a byte,
+    since output for a fixed seed is part of the interface."""
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("verify_campaign20_seed0_all.txt",
+         ["verify", "--campaign", "20", "--seed", "0", "--theorem", "all"]),
+        ("forests_w_network_weights.txt",
+         ["forests", str(fixture_path("w-network.json")), "--weights"]),
+    ])
+    def test_byte_identical(self, capsys, golden, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")

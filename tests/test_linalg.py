@@ -88,6 +88,14 @@ class TestMatrixBasics:
         assert t.row_labels == (1, 2)
         assert t.col_labels == (7,)
 
+    @pytest.mark.parametrize("bad", [0.1, True])
+    def test_floats_and_bools_rejected(self, bad):
+        # Fraction(0.1) would store 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            Matrix([[bad]])
+        with pytest.raises(TypeError):
+            Matrix([[1]]) * bad
+
     def test_symmetry_and_row_sums(self):
         m = Matrix([[2, -1], [-1, 2]])
         assert m.is_symmetric()
@@ -196,6 +204,37 @@ class TestSchur:
         steps = m.schur_complement([0, 1]).schur_complement([0])
         assert once == steps
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_formula_on_any_keep_set(self, data):
+        n = data.draw(st.sampled_from([4, 5]))
+        labels = data.draw(
+            st.lists(st.integers(1, 50), min_size=n, max_size=n, unique=True)
+        )
+        rows = data.draw(
+            st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+        keep = list(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+        dropped = [i for i in range(n) if i not in keep]
+        if data.draw(st.booleans()):
+            # make the eliminated block singular: one of its rows becomes the
+            # sum of the others (zero when it is alone)
+            first, rest = dropped[0], dropped[1:]
+            for j in dropped:
+                rows[first][j] = sum((rows[r][j] for r in rest), Fraction(0))
+        m = Matrix(rows, labels=labels)
+        K = [labels[i] for i in sorted(keep)]
+        D = [labels[i] for i in dropped]
+        a, b, c, d = m.take(K, K), m.take(K, D), m.take(D, K), m.take(D, D)
+        if d.det() == 0:
+            with pytest.raises(SingularBlock):
+                m.schur_complement(keep)
+            return
+        s = m.schur_complement(keep)
+        assert s == a - b * d.invert() * c
+        assert s.row_labels == s.col_labels == tuple(K)
+        assert m.det() == d.det() * s.det()
+
 
 class TestSolve:
     def test_simple(self):
@@ -203,6 +242,13 @@ class TestSolve:
         assert solve_linear_system(rows, [Fraction(2), Fraction(2)]) == [
             Fraction(1),
             Fraction(1, 2),
+        ]
+
+    def test_zero_leading_pivot_needs_row_swap(self):
+        rows = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+        assert solve_linear_system(rows, [Fraction(4), Fraction(5)]) == [
+            Fraction(1),
+            Fraction(2),
         ]
 
     def test_empty(self):
