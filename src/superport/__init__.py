@@ -25,7 +25,6 @@ from .forests import (
     XYZWPartition,
     enumerate_spanning_forests,
     forest_sign,
-    grouped_weight,
     involution_f,
     is_relatively_valid,
     is_valid,

@@ -37,7 +37,6 @@ from .solver import SolverError, response_matrices, solve
 from .verify import (
     THEOREMS,
     box_h,
-    cayley_count,
     random_network,
     run_verifications,
     verify_box_h,
@@ -164,6 +163,9 @@ def _emit_reports(reports, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.campaign is not None and args.campaign < 1:
+        print("--campaign needs a positive network count", file=sys.stderr)
+        return 2
     if bool(args.network) == bool(args.campaign):
         print("verify needs a network file or --campaign N, not both", file=sys.stderr)
         return 2
@@ -186,21 +188,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.cayley is not None:
-        brute, closed = cayley_count(args.cayley, cap=args.cap)
         report = verify_cayley(args.cayley, cap=args.cap)
         if args.format == "json":
             print(
                 json.dumps(
-                    {"m": args.cayley, "count": brute, "closed_form": closed,
-                     "status": report.status},
+                    {"m": args.cayley, "count": int(report.lhs),
+                     "closed_form": int(report.rhs), "status": report.status},
                     indent=2,
                 )
             )
         else:
-            print(brute)
+            print(report.lhs)
         return 0 if report.ok else 1
     data = _load_raw(args.gencayley)
-    if not isinstance(data, dict) or "sizes" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("sizes"), list):
         print('gencayley file must be {"sizes": [..]}', file=sys.stderr)
         return 2
     sizes = data["sizes"]

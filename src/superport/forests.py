@@ -11,6 +11,17 @@ image in the quotient by the superport equivalence is a spanning tree; the
 same notion relative to a vertex set X uses the X-equivalence, which splits
 the members of X off their superports.
 
+Each identity sums over one family of forests, and every forest of a family
+has the same number of components, so `ForestEnsemble` indexes its forests by
+component count once (`with_components`).  With m boundary vertices in p
+superports: trees have 1 component; valid forests and the forests carrying
+XYZW partitions have m - p + 1; forests valid relative to a non-root have
+m - p; forests whose quotient with k classes is a tree have n - k + 1; a
+Kirchhoff or Kenyon-Wilson grouping has one component per group.  One
+union-find over quotient classes, `quotient_components`, serves validity,
+forest signs and the combinatorial voltages; enumeration keeps its own
+because it must undo each join.
+
 The sign structures (forest signs, XYZW partitions, the main cycle, and the
 sign-reversing involution on partitions) follow the definitions used by the
 superport matrix-tree identities; see the verify module for the statements
@@ -35,7 +46,6 @@ __all__ = [
     "XYZWPartition",
     "enumerate_spanning_forests",
     "forest_sign",
-    "grouped_weight",
     "involution_f",
     "is_relatively_valid",
     "is_valid",
@@ -43,6 +53,7 @@ __all__ = [
     "partition_sign",
     "partitions_for_forest",
     "permutation_parity",
+    "quotient_components",
     "quotient_is_tree",
     "simple_quotient_cycles",
 ]
@@ -52,6 +63,11 @@ DEFAULT_CAP = 20
 
 class CapExceeded(Exception):
     """The network has more edges than the enumeration cap allows."""
+
+
+def check_cap(edge_count: int, cap: Optional[int]) -> None:
+    if cap is not None and edge_count > cap:
+        raise CapExceeded(f"{edge_count} edges exceed the enumeration cap {cap}")
 
 
 class ForestIsValid(Exception):
@@ -89,8 +105,7 @@ def enumerate_spanning_forests(
     union-find with rollback, so cyclic subsets are never entered.
     """
     E = len(net.edges)
-    if cap is not None and E > cap:
-        raise CapExceeded(f"{E} edges exceed the enumeration cap {cap}")
+    check_cap(E, cap)
     n = net.n
     parent = list(range(n + 1))
     size = [1] * (n + 1)
@@ -138,25 +153,37 @@ def enumerate_spanning_forests(
     return rec(0)
 
 
-def quotient_is_tree(qg: QuotientGraph, forest: Forest) -> bool:
-    k = len(qg.classes)
-    if len(forest.edges) != k - 1:
-        return False
-    parent = list(range(k))
+def quotient_components(qg: QuotientGraph, forest: Forest) -> tuple[list[int], bool]:
+    """Join the quotient classes at the two ends of every forest edge.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    Returns the least class of each class's component, and whether the image
+    is acyclic, i.e. no edge fell inside one component already.  Links
+    always point from a larger class to a smaller one, so one ascending pass
+    resolves every label.
+    """
+    least = list(range(len(qg.classes)))
+    acyclic = True
     for e in forest.edges:
         a, b = qg.edge_classes[e]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+        while least[a] != a:
+            a = least[a]
+        while least[b] != b:
+            b = least[b]
+        if a == b:
+            acyclic = False
+        elif a < b:
+            least[b] = a
+        else:
+            least[a] = b
+    for c in range(len(least)):
+        least[c] = least[least[c]]
+    return least, acyclic
+
+
+def quotient_is_tree(qg: QuotientGraph, forest: Forest) -> bool:
+    if len(forest.edges) != len(qg.classes) - 1:
+        return False
+    return quotient_components(qg, forest)[1]
 
 
 def is_valid(forest: Forest, net: SuperportNetwork) -> bool:
@@ -180,25 +207,13 @@ def forest_sign(forest: Forest, net: SuperportNetwork, i: int, j: int) -> int:
     if i == j:
         return 1
     qg = net.quotient((i, j))
-    k = len(qg.classes)
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in forest.edges:
-        a, b = qg.edge_classes[e]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return 1 if find(qg.class_of[i]) != find(qg.class_of[j]) else -1
+    root = quotient_components(qg, forest)[0]
+    return 1 if root[qg.class_of[i]] != root[qg.class_of[j]] else -1
 
 
 class ForestEnsemble:
-    """All spanning forests of one network, enumerated once and reused.
+    """All spanning forests of one network, enumerated once and reused:
+    `forests` in enumeration order, and the same forests by component count.
 
     Weight sums that several identities share (trees, valid forests,
     quotient-tree weights) are memoized here so that independent checks on
@@ -208,28 +223,35 @@ class ForestEnsemble:
     def __init__(self, net: SuperportNetwork, *, cap: Optional[int] = DEFAULT_CAP):
         self.net = net
         self.forests: list[Forest] = list(enumerate_spanning_forests(net, cap=cap))
+        self._by_count: dict[int, list[Forest]] = {}
+        for f in self.forests:
+            self._by_count.setdefault(f.component_count, []).append(f)
         self._quotient_weights: dict[tuple, Fraction] = {}
         self._valid: Optional[list[Forest]] = None
 
+    def with_components(self, count: int) -> list[Forest]:
+        """The forests with exactly `count` components, in enumeration order."""
+        return self._by_count.get(count, [])
+
+    def quotient_trees(self, qg: QuotientGraph) -> list[Forest]:
+        """The forests whose image in the quotient is a spanning tree."""
+        bucket = self.with_components(self.net.n - len(qg.classes) + 1)
+        return [f for f in bucket if quotient_is_tree(qg, f)]
+
     def tree_weight(self) -> Fraction:
-        return sum(
-            (f.weight for f in self.forests if f.component_count == 1), Fraction(0)
-        )
+        return sum((f.weight for f in self.with_components(1)), Fraction(0))
 
     def quotient_tree_weight(self, qg: QuotientGraph) -> Fraction:
         key = qg.classes
         if key not in self._quotient_weights:
-            total = Fraction(0)
-            for f in self.forests:
-                if quotient_is_tree(qg, f):
-                    total += f.weight
-            self._quotient_weights[key] = total
+            self._quotient_weights[key] = sum(
+                (f.weight for f in self.quotient_trees(qg)), Fraction(0)
+            )
         return self._quotient_weights[key]
 
     def valid_forests(self) -> list[Forest]:
         if self._valid is None:
-            qg = self.net.quotient()
-            self._valid = [f for f in self.forests if quotient_is_tree(qg, f)]
+            self._valid = self.quotient_trees(self.net.quotient())
         return self._valid
 
     def valid_weight(self) -> Fraction:
@@ -239,36 +261,13 @@ class ForestEnsemble:
         """Sum of weights of forests with exactly len(groups) components in
         which the groups lie in pairwise distinct components (group t inside
         a single component).  Zero groups give 0 by convention."""
-        k = len(groups)
-        if k == 0:
-            return Fraction(0)
         total = Fraction(0)
-        for f in self.forests:
-            if f.component_count != k:
-                continue
-            reps = []
-            ok = True
-            for g in groups:
-                r = f.components[g[0]]
-                if any(f.components[v] != r for v in g):
-                    ok = False
-                    break
-                reps.append(r)
-            if ok and len(set(reps)) == k:
+        for f in self.with_components(len(groups)):
+            comps = [{f.components[v] for v in g} for g in groups]
+            # one component per group and no component shared: disjoint singletons
+            if sum(map(len, comps)) == len(set().union(*comps)) == len(groups):
                 total += f.weight
         return total
-
-
-def grouped_weight(
-    net: SuperportNetwork,
-    groups: Sequence[Sequence[int]],
-    *,
-    ensemble: Optional[ForestEnsemble] = None,
-    cap: Optional[int] = DEFAULT_CAP,
-) -> Fraction:
-    if ensemble is None:
-        ensemble = ForestEnsemble(net, cap=cap)
-    return ensemble.grouped_weight(groups)
 
 
 # -- XYZW partitions ------------------------------------------------------------

@@ -36,13 +36,14 @@ from .forests import (
     DEFAULT_CAP,
     Forest,
     ForestEnsemble,
+    check_cap,
     forest_sign,
     involution_f,
     is_valid,
-    main_cycle,
     partition_sign,
     partitions_for_forest,
     permutation_parity,
+    quotient_components,
     quotient_is_tree,
 )
 from .linalg import Matrix, rat, rat_str
@@ -153,7 +154,8 @@ def verify_kirchhoff(
     tree-weight sum over the valid-forest-weight sum; (2) for i < j the
     response entry C_i^j is minus the weight sum of (m-1)-component forests
     pairing i with j and isolating every other boundary vertex, over the
-    same denominator.  Part 2 is evaluated in one pass over all forests.
+    same denominator.  Part 2 is evaluated in one pass over the forests with
+    m - 1 components.
     """
     m = net.m
     if m < 2:
@@ -179,9 +181,7 @@ def verify_kirchhoff(
         )
 
     pair_sums: dict[tuple[int, int], Fraction] = {}
-    for f in ensemble.forests:
-        if f.component_count != m - 1:
-            continue
+    for f in ensemble.with_components(m - 1):
         by_rep: dict[int, list[int]] = {}
         for v in range(1, m + 1):
             by_rep.setdefault(f.components[v], []).append(v)
@@ -292,25 +292,23 @@ def verify_L_entries(
     L = c2l(electrical_response(net), net.superports)
     D = ensemble.valid_weight()
     nr = net.non_roots
-    rel = {
-        i: [quotient_is_tree(net.quotient((i,)), f) for f in ensemble.forests]
-        for i in nr
-    }
+    # splitting a non-root off its superport adds one quotient class, so the
+    # forests valid relative to any non-root all have m - p components
+    num = {(i, j): Fraction(0) for i in nr for j in nr}
+    for f in ensemble.with_components(net.m - net.p):
+        rel = [i for i in nr if quotient_is_tree(net.quotient((i,)), f)]
+        for i in rel:
+            for j in rel:
+                num[i, j] += forest_sign(f, net, i, j) * f.weight
     failures: list = []
-    checks = 0
-    for i in nr:
-        for j in nr:
-            num = Fraction(0)
-            for idx, f in enumerate(ensemble.forests):
-                if rel[i][idx] and rel[j][idx]:
-                    num += forest_sign(f, net, i, j) * f.weight
-            rhs = num / D
-            lhs = L.entry(i, j)
-            checks += 1
-            if lhs != rhs:
-                failures.append(
-                    (lhs, rhs, {"network": network_to_data(net), "entry": [i, j]})
-                )
+    for (i, j), total in num.items():
+        rhs = total / D
+        lhs = L.entry(i, j)
+        if lhs != rhs:
+            failures.append(
+                (lhs, rhs, {"network": network_to_data(net), "entry": [i, j]})
+            )
+    checks = len(num)
     return _report(
         "response-entries", failures, checks, f"{checks} entries", f"{checks} sums"
     )
@@ -375,7 +373,7 @@ def verify_signed_sum(
     if ensemble is None:
         ensemble = ForestEnsemble(net)
     lhs = Fraction(0)
-    for f in ensemble.forests:
+    for f in ensemble.with_components(net.m - net.p + 1):
         for part in partitions_for_forest(net, f):
             lhs += partition_sign(net, f, part) * f.weight
     rhs = ensemble.valid_weight()
@@ -414,7 +412,7 @@ def verify_cancellation(
             )
         )
 
-    for f in ensemble.forests:
+    for f in ensemble.with_components(net.m - net.p + 1):
         parts = list(partitions_for_forest(net, f))
         if is_valid(f, net):
             checks += 1
@@ -428,11 +426,11 @@ def verify_cancellation(
         if not parts:
             continue
         checks += 1
-        signed = sum(partition_sign(net, f, p) for p in parts)
-        if signed != 0:
-            fail(signed, 0, f, "non-valid forest signed count")
+        signs = [partition_sign(net, f, p) for p in parts]
+        if sum(signs) != 0:
+            fail(sum(signs), 0, f, "non-valid forest signed count")
             continue
-        index = {p: partition_sign(net, f, p) for p in parts}
+        index = dict(zip(parts, signs))
         for part in parts:
             image = involution_f(net, f, part)
             if image not in index:
@@ -485,28 +483,13 @@ def combinatorial_solution(
         cr = qg.class_of[net.root_of[i]]
 
         for f in ensemble.valid_forests():
-            parent = list(range(k_classes))
-
-            def find(a: int) -> int:
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for e in f.edges:
-                a, b = qg.edge_classes[e]
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-            root_i = find(ci)
+            root = quotient_components(qg, f)[0]
             contribution = du * f.weight
             for v in range(1, n + 1):
-                if find(qg.class_of[v]) == root_i:
+                if root[qg.class_of[v]] == root[ci]:
                     volt_raw[v] += contribution
 
-        for f in ensemble.forests:
-            if not quotient_is_tree(qg, f):
-                continue
+        for f in ensemble.quotient_trees(qg):
             adj: list[list[tuple[int, int]]] = [[] for _ in range(k_classes)]
             for e in f.edges:
                 a, b = qg.edge_classes[e]
@@ -661,9 +644,8 @@ def complete_network(m: int) -> SuperportNetwork:
 
 def cayley_count(m: int, *, cap: Optional[int] = None) -> tuple[int, int]:
     """(enumerated spanning trees of the unit complete graph, m ** (m-2))."""
-    net = complete_network(m)
-    ensemble = ForestEnsemble(net, cap=cap)
-    brute = sum(1 for f in ensemble.forests if f.component_count == 1)
+    check_cap(math.comb(max(m, 0), 2), cap)
+    brute = len(ForestEnsemble(complete_network(m), cap=cap).with_components(1))
     closed = int(Fraction(m) ** (m - 2))
     return brute, closed
 
@@ -700,9 +682,10 @@ def verify_generalized_cayley(
     count uses concrete trees (random when an rng is given, paths
     otherwise); the statement is independent of that choice.
     """
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("group sizes must be positive")
+    if not sizes or any(type(s) is not int or s < 1 for s in sizes):
+        raise ValueError("group sizes must be positive integers")
     n = sum(sizes)
+    check_cap(math.comb(n, 2), cap)
     r = len(sizes)
     groups: list[list[int]] = []
     nxt = 1
@@ -729,11 +712,7 @@ def verify_generalized_cayley(
             else [(g[t], g[t + 1]) for t in range(len(g) - 1)]
         )
         required.update(pair_index[e] for e in tree)
-    containing = sum(
-        1
-        for f in ensemble.forests
-        if f.component_count == 1 and required.issubset(f.edges)
-    )
+    containing = sum(1 for f in ensemble.with_components(1) if required.issubset(f.edges))
     closed = int(Fraction(n) ** (r - 2) * math.prod(sizes))
 
     failures: list = []

@@ -282,6 +282,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_campaign_count_must_be_positive(self, capsys, count):
+        code, out, err = run_cli(capsys, "verify", "--campaign", count)
+        assert code == 2
+        assert out == ""
+        assert "positive" in err
+
     def test_inapplicable_theorem(self, capsys, tmp_path):
         net = canonical_network([(1, 2, 1)], [[1], [2]])
         path = write_network(tmp_path, net)
@@ -320,6 +327,39 @@ class TestCount:
         sizes_file.write_text(json.dumps({"groups": [2, 2]}))
         code, _, err = run_cli(capsys, "count", "--gencayley", str(sizes_file))
         assert code == 2
+        assert "sizes" in err
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [(["--cayley", "800"], None), (["--cayley", "7"], None),
+         (["--gencayley"], [400, 400]), (["--gencayley"], [3, 4])],
+    )
+    def test_cap_refused_before_the_graph_is_built(
+        self, capsys, tmp_path, monkeypatch, argv, sizes
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph built before the cap was checked")
+
+        monkeypatch.setattr("superport.verify.complete_network", refuse)
+        monkeypatch.setattr("superport.verify.canonical_network", refuse)
+        if sizes is not None:
+            sizes_file = tmp_path / "sizes.json"
+            sizes_file.write_text(json.dumps({"sizes": sizes}))
+            argv = argv + [str(sizes_file)]
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("CapExceeded:")
+
+    @pytest.mark.parametrize(
+        "sizes", [["a"], [1.5, 2], [True, 2], [2, False], [0, 2], [], 5, "22", None]
+    )
+    def test_gencayley_sizes_must_be_positive_integers(self, capsys, tmp_path, sizes):
+        sizes_file = tmp_path / "sizes.json"
+        sizes_file.write_text(json.dumps({"sizes": sizes}))
+        code, out, err = run_cli(capsys, "count", "--gencayley", str(sizes_file))
+        assert code == 2
+        assert out == ""
         assert "sizes" in err
 
     def test_flags_are_exclusive(self, capsys, tmp_path):

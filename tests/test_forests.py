@@ -15,7 +15,6 @@ from superport import (
     complete_network,
     enumerate_spanning_forests,
     forest_sign,
-    grouped_weight,
     involution_f,
     is_relatively_valid,
     is_valid,
@@ -157,17 +156,17 @@ class TestForestSign:
 
 class TestGroupedWeight:
     def test_empty_grouping_is_zero(self):
-        assert grouped_weight(triangle(), []) == 0
+        assert ForestEnsemble(triangle()).grouped_weight([]) == 0
 
     def test_single_group_counts_trees(self):
         net = triangle()
         ens = ForestEnsemble(net)
-        assert grouped_weight(net, [(1, 2, 3)], ensemble=ens) == ens.tree_weight()
+        assert ens.grouped_weight([(1, 2, 3)]) == ens.tree_weight()
 
     def test_pairing_weight(self):
         # forests with two components separating 3 from {1,2}
         net = triangle()
-        w = grouped_weight(net, [(1, 2), (3,)])
+        w = ForestEnsemble(net).grouped_weight([(1, 2), (3,)])
         assert w == Fraction(2)  # only the single edge 12
 
     def test_groups_need_not_cover(self):
@@ -175,11 +174,11 @@ class TestGroupedWeight:
         # one group {1}: forests with exactly one component containing 1,
         # i.e. spanning trees
         ens = ForestEnsemble(net)
-        assert grouped_weight(net, [(1,)], ensemble=ens) == ens.tree_weight()
+        assert ens.grouped_weight([(1,)]) == ens.tree_weight()
 
     def test_separating_groups(self):
         net = fig7()
-        w = grouped_weight(net, [(1, 2), (3, 4)])
+        w = ForestEnsemble(net).grouped_weight([(1, 2), (3, 4)])
         total = sum(
             f.weight
             for f in enumerate_spanning_forests(net)
@@ -359,3 +358,31 @@ def test_enumeration_matches_powerset_filter(seed):
                 count += 1
                 assert subset in listed
     assert count == len(listed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_with_components_splits_forests_by_family(seed):
+    # the index holds every forest once, in its component-count bucket, and
+    # each family an identity sums over lies in the bucket assigned to it
+    rng = random.Random(seed)
+    net = random_network(rng, max_n=6, max_edges=9, require_nonroots=rng.random() < 0.5)
+    ens = ForestEnsemble(net)
+    m, p = net.m, net.p
+    for count in range(net.n + 2):
+        assert ens.with_components(count) == [
+            f for f in ens.forests if f.component_count == count
+        ]
+    assert sum(len(ens.with_components(c)) for c in range(net.n + 1)) == len(ens.forests)
+    electrical = unify_superports(net).quotient()
+    for f in ens.forests:
+        if is_valid(f, net) or any(True for _ in partitions_for_forest(net, f)):
+            assert f.component_count == m - p + 1
+        if quotient_is_tree(electrical, f):
+            assert f.component_count == m
+        for i in net.non_roots:
+            if is_relatively_valid(f, net, i):
+                assert f.component_count == m - p
+    for X in [(), *((i,) for i in net.non_roots), tuple(net.non_roots[:2])]:
+        qg = net.quotient(X)
+        assert ens.quotient_trees(qg) == [f for f in ens.forests if quotient_is_tree(qg, f)]

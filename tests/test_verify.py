@@ -15,10 +15,11 @@ from superport import (
     combinatorial_solution,
     complete_network,
     electrical_response,
-    grouped_weight,
     h_network,
     load_network,
     make_circuit,
+    partition_sign,
+    partitions_for_forest,
     random_circuit,
     random_network,
     run_verifications,
@@ -77,7 +78,7 @@ class TestKirchhoff:
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
                     groups = [(i, j)] + [(v,) for v in range(1, m + 1) if v not in (i, j)]
-                    assert C.entry(i, j) == -grouped_weight(net, groups, ensemble=ens) / H
+                    assert C.entry(i, j) == -ens.grouped_weight(groups) / H
             assert verify_kirchhoff(net, ensemble=ens).ok
 
     def test_requires_two_boundary_vertices(self):
@@ -165,6 +166,21 @@ class TestResponseTheorems:
             ens = ForestEnsemble(net)
             assert verify_signed_sum(net, ensemble=ens).ok
             assert verify_cancellation(net, ensemble=ens).ok
+
+    def test_cancellation_signs_each_partition_once(self, monkeypatch):
+        # the side square's forest {b} carries four partitions that cancel
+        net = side_square(2, 3, 5, 7)
+        ens = ForestEnsemble(net)
+        partitions = sum(len(list(partitions_for_forest(net, f))) for f in ens.forests)
+        signed = []
+
+        def counting_sign(net, forest, part):
+            signed.append(part)
+            return partition_sign(net, forest, part)
+
+        monkeypatch.setattr("superport.verify.partition_sign", counting_sign)
+        assert verify_cancellation(net, ensemble=ens).ok
+        assert len(signed) == partitions
 
 
 class TestCombinatorialSolution:
