@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forests import (

@@ -11,15 +11,26 @@ image in the quotient by the superport equivalence is a spanning tree; the
 same notion relative to a vertex set X uses the X-equivalence, which splits
 the members of X off their superports.
 
+Weights are exact integers while forests are enumerated: with D the least
+common denominator of the conductances, every conductance is a whole number
+of units 1/D, a forest carries the product of its edges' units, and its
+weight is that product over D to the number of edges.  Sums add the
+integers and divide once, at the end.
+
 Each identity sums over one family of forests, and every forest of a family
-has the same number of components, so `ForestEnsemble` indexes its forests by
-component count once (`with_components`).  With m boundary vertices in p
+has the same number of components.  With m boundary vertices in p
 superports: trees have 1 component; valid forests and the forests carrying
 XYZW partitions have m - p + 1; forests valid relative to a non-root have
-m - p; forests whose quotient with k classes is a tree have n - k + 1; a
-Kirchhoff or Kenyon-Wilson grouping has one component per group.  One
-union-find over quotient classes, `quotient_components`, serves validity,
-forest signs and the combinatorial voltages; enumeration keeps its own
+m - p; electrically valid forests, one boundary vertex per component, have
+m; forests whose quotient with k classes is a tree have n - k + 1; a
+Kirchhoff or Kenyon-Wilson grouping has one component per group.  So one
+enumeration serves every identity: `ForestPass` hands each forest to the
+sums registered for its component count, and decides what several sums ask
+of a forest (validity, relative validity, signed partitions) once per
+forest.  `ForestEnsemble` holds the same forests by component count for
+callers that read them more than once.  One union-find over quotient
+classes, `quotient_components`, serves validity, forest signs and the
+combinatorial voltages; enumeration keeps component labels of its own,
 because it must undo each join.
 
 The sign structures (forest signs, XYZW partitions, the main cycle, and the
@@ -30,9 +41,11 @@ they feed.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .network import QuotientGraph, SuperportNetwork
 
@@ -42,8 +55,10 @@ __all__ = [
     "Forest",
     "ForestEnsemble",
     "ForestIsValid",
+    "ForestPass",
     "MainCycle",
     "XYZWPartition",
+    "conductance_scale",
     "enumerate_spanning_forests",
     "forest_sign",
     "involution_f",
@@ -55,6 +70,8 @@ __all__ = [
     "permutation_parity",
     "quotient_components",
     "quotient_is_tree",
+    "quotient_path",
+    "separates",
     "simple_quotient_cycles",
 ]
 
@@ -74,21 +91,35 @@ class ForestIsValid(Exception):
     """The involution is undefined: the forest has no quotient cycle."""
 
 
+def conductance_scale(net: SuperportNetwork) -> int:
+    """The least common denominator D of the conductances: every conductance
+    is an integer number of units 1/D."""
+    return math.lcm(*(c.denominator for _, _, c in net.edges))
+
+
 class Forest(NamedTuple):
     """One spanning forest.
 
     `edges` holds edge indices into the network's edge tuple, ascending.
     `components[v]` is the smallest vertex in v's component (entry 0 is
     padding), so two vertices are connected iff their entries agree.
+    `units` is the product over the edges of conductance times `scale`, the
+    network's `conductance_scale`, so it is an integer and the weight is
+    units / scale ** len(edges).
     """
 
     edges: tuple[int, ...]
     components: tuple[int, ...]
-    weight: Fraction
+    units: int
+    scale: int
 
     @property
     def component_count(self) -> int:
         return (len(self.components) - 1) - len(self.edges)
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(self.units, self.scale ** len(self.edges))
 
 
 def enumerate_spanning_forests(
@@ -101,56 +132,68 @@ def enumerate_spanning_forests(
 
     The order is lexicographic in the edge-index tuples: (), (0,), (0, 1),
     (0, 1, 2), (0, 2), (1,), ...  A predicate filters the output without
-    affecting the traversal.  Acyclicity is maintained incrementally by a
-    union-find with rollback, so cyclic subsets are never entered.
+    affecting the traversal.  The cap is checked before the first forest.
     """
-    E = len(net.edges)
-    check_cap(E, cap)
-    n = net.n
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    low = list(range(n + 1))  # least vertex per root, for component labels
+    check_cap(len(net.edges), cap)
+    return _walk_forests(net, predicate)
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            v = parent[v]
-        return v
 
+def _walk_forests(
+    net: SuperportNetwork, predicate: Optional[Callable[[Forest], bool]]
+) -> Iterator[Forest]:
+    """Depth-first walk over acyclic edge subsets.
+
+    Component labels are kept current as edges are added: joining two
+    components relabels the members of the one with the larger label, and
+    dropping the edge again restores them, so an edge closes a cycle iff its
+    ends carry one label, and a forest's labels are read off as they stand.
+    The weight is carried as an integer unit count, multiplied on the way
+    down and restored from the stack on the way back.
+    """
+    n, E = net.n, len(net.edges)
+    scale = conductance_scale(net)
+    tails = [u for u, _, _ in net.edges]
+    heads = [v for _, v, _ in net.edges]
+    unit = [(c * scale).numerator for _, _, c in net.edges]
+    label = list(range(n + 1))
+    members = [[v] for v in range(n + 1)]  # members[a]: the component labelled a
     chosen: list[int] = []
-    weight = [Fraction(1)]
-
-    def snapshot() -> Forest:
-        comps = [0] * (n + 1)
-        for v in range(1, n + 1):
-            comps[v] = low[find(v)]
-        return Forest(tuple(chosen), tuple(comps), weight[0])
-
-    def rec(start: int) -> Iterator[Forest]:
-        f = snapshot()
-        if predicate is None or predicate(f):
-            yield f
-        for i in range(start, E):
-            u, v, c = net.edges[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            old_low = low[ru]
-            if low[rv] < old_low:
-                low[ru] = low[rv]
-            chosen.append(i)
-            weight[0] *= c
-            yield from rec(i + 1)
-            weight[0] /= c
-            chosen.pop()
-            low[ru] = old_low
-            size[ru] -= size[rv]
-            parent[rv] = rv
-
-    return rec(0)
+    undo: list[tuple[int, int, int]] = []  # (kept label, merged label, units before)
+    units = 1
+    make = tuple.__new__  # builds a Forest without the keyword handling of Forest(...)
+    i = 0
+    while True:
+        forest = make(Forest, (tuple(chosen), tuple(label), units, scale))
+        if predicate is None or predicate(forest):
+            yield forest
+        # the next subset in lexicographic order: add the first edge from i
+        # on that joins two components, or drop the last edge and go on after it
+        while True:
+            if i < E:
+                a, b = label[tails[i]], label[heads[i]]
+                if a != b:
+                    break
+                i += 1
+            elif chosen:
+                i = chosen.pop()
+                a, b, units = undo.pop()
+                moved = members[b]
+                del members[a][-len(moved):]
+                for v in moved:
+                    label[v] = b
+                i += 1
+            else:
+                return
+        if b < a:
+            a, b = b, a
+        moved = members[b]
+        for v in moved:
+            label[v] = a
+        members[a].extend(moved)
+        chosen.append(i)
+        undo.append((a, b, units))
+        units *= unit[i]
+        i += 1
 
 
 def quotient_components(qg: QuotientGraph, forest: Forest) -> tuple[list[int], bool]:
@@ -178,6 +221,38 @@ def quotient_components(qg: QuotientGraph, forest: Forest) -> tuple[list[int], b
     for c in range(len(least)):
         least[c] = least[least[c]]
     return least, acyclic
+
+
+def quotient_path(
+    net: SuperportNetwork, qg: QuotientGraph, forest: Forest, start: int, end: int
+) -> list[tuple[int, int]]:
+    """The forest edges on the path from the class of vertex `start` to the
+    class of vertex `end` in the forest's quotient, which must join them;
+    each as its (tail, head) vertex pair, oriented along the path."""
+    first, last = qg.class_of[start], qg.class_of[end]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(len(qg.classes))]
+    for e in forest.edges:
+        a, b = qg.edge_classes[e]
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    prev: dict[int, tuple[int, int]] = {first: (-1, -1)}
+    queue = [first]
+    while queue:
+        cur = queue.pop()
+        if cur == last:
+            break
+        for b, e in adj[cur]:
+            if b not in prev:
+                prev[b] = (cur, e)
+                queue.append(b)
+    path = []
+    cur = last
+    while cur != first:
+        a, e = prev[cur]
+        u, v, _ = net.edges[e]
+        path.append((u, v) if qg.class_of[u] == a else (v, u))
+        cur = a
+    return path
 
 
 def quotient_is_tree(qg: QuotientGraph, forest: Forest) -> bool:
@@ -211,13 +286,22 @@ def forest_sign(forest: Forest, net: SuperportNetwork, i: int, j: int) -> int:
     return 1 if root[qg.class_of[i]] != root[qg.class_of[j]] else -1
 
 
+def separates(forest: Forest, groups: Sequence[Sequence[int]]) -> bool:
+    """Whether each group lies inside one component of the forest and no two
+    groups share a component."""
+    comps = [{forest.components[v] for v in g} for g in groups]
+    # one component per group and no component shared: disjoint singletons
+    return sum(map(len, comps)) == len(set().union(*comps)) == len(groups)
+
+
 class ForestEnsemble:
-    """All spanning forests of one network, enumerated once and reused:
+    """All spanning forests of one network, enumerated once and held:
     `forests` in enumeration order, and the same forests by component count.
 
-    Weight sums that several identities share (trees, valid forests,
-    quotient-tree weights) are memoized here so that independent checks on
-    the same network agree by construction on the shared denominators.
+    A materialized view for callers that read the forests more than once;
+    the verifiers take one bucket at a time from it, or stream one
+    enumeration instead.  Weight sums add the forests' integer units and
+    divide by the scale once.
     """
 
     def __init__(self, net: SuperportNetwork, *, cap: Optional[int] = DEFAULT_CAP):
@@ -226,12 +310,15 @@ class ForestEnsemble:
         self._by_count: dict[int, list[Forest]] = {}
         for f in self.forests:
             self._by_count.setdefault(f.component_count, []).append(f)
-        self._quotient_weights: dict[tuple, Fraction] = {}
-        self._valid: Optional[list[Forest]] = None
 
     def with_components(self, count: int) -> list[Forest]:
         """The forests with exactly `count` components, in enumeration order."""
         return self._by_count.get(count, [])
+
+    def _weight(self, forests: list[Forest], count: int) -> Fraction:
+        """Weight sum of forests that all have `count` components."""
+        scale = conductance_scale(self.net)
+        return Fraction(sum(f.units for f in forests), scale ** (self.net.n - count))
 
     def quotient_trees(self, qg: QuotientGraph) -> list[Forest]:
         """The forests whose image in the quotient is a spanning tree."""
@@ -239,20 +326,14 @@ class ForestEnsemble:
         return [f for f in bucket if quotient_is_tree(qg, f)]
 
     def tree_weight(self) -> Fraction:
-        return sum((f.weight for f in self.with_components(1)), Fraction(0))
+        return self._weight(self.with_components(1), 1)
 
     def quotient_tree_weight(self, qg: QuotientGraph) -> Fraction:
-        key = qg.classes
-        if key not in self._quotient_weights:
-            self._quotient_weights[key] = sum(
-                (f.weight for f in self.quotient_trees(qg)), Fraction(0)
-            )
-        return self._quotient_weights[key]
+        count = self.net.n - len(qg.classes) + 1
+        return self._weight(self.quotient_trees(qg), count)
 
     def valid_forests(self) -> list[Forest]:
-        if self._valid is None:
-            self._valid = self.quotient_trees(self.net.quotient())
-        return self._valid
+        return self.quotient_trees(self.net.quotient())
 
     def valid_weight(self) -> Fraction:
         return self.quotient_tree_weight(self.net.quotient())
@@ -261,13 +342,8 @@ class ForestEnsemble:
         """Sum of weights of forests with exactly len(groups) components in
         which the groups lie in pairwise distinct components (group t inside
         a single component).  Zero groups give 0 by convention."""
-        total = Fraction(0)
-        for f in self.with_components(len(groups)):
-            comps = [{f.components[v] for v in g} for g in groups]
-            # one component per group and no component shared: disjoint singletons
-            if sum(map(len, comps)) == len(set().union(*comps)) == len(groups):
-                total += f.weight
-        return total
+        bucket = self.with_components(len(groups))
+        return self._weight([f for f in bucket if separates(f, groups)], len(groups))
 
 
 # -- XYZW partitions ------------------------------------------------------------
@@ -295,50 +371,70 @@ def partitions_for_forest(
 ) -> Iterator[XYZWPartition]:
     """All XYZW partitions satisfying conditions (1)-(3) for this forest.
 
-    Conditions (1)-(2) fix the choices per superport; condition (3) is then
-    filtered per forest component.  The conditions force the component count
-    m - p + 1, so other forests yield nothing.
+    Conditions (1)-(2) fix the choices per superport, taken one superport at
+    a time; a choice is dropped as soon as it puts a second W, X or Y vertex
+    into some forest component, or W next to X or Y.  A complete choice that
+    got through satisfies (3): it places W vertices and X vertices, m - p + 1
+    in all, so with at most one of them per component and as many Y as X
+    vertices, each of the m - p + 1 components receives one W vertex or one
+    X-Y pair.  The conditions force that component count, so other forests
+    yield nothing.
     """
     m, p = net.m, net.p
     if forest.component_count != m - p + 1:
         return
-    reps = set(forest.components[1:])
-    boundary_reps = {forest.components[v] for v in range(1, m + 1)}
-    if reps != boundary_reps:
+    comp = forest.components
+    if len(set(comp[1 : m + 1])) != m - p + 1:
         # a component without boundary vertices can never satisfy (3)
         return
-
-    per_superport: list[list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]] = []
-    for sp in net.superports[:-1]:
-        options = []
-        for z in sp:
-            options.append(((), (), (z,)))
-        for x in sp:
-            for y in sp:
-                if x != y:
-                    options.append(((x,), (y,), ()))
-        per_superport.append(options)
-
-    def emit(k: int, X: list[int], Y: list[int], Z: list[int]) -> Iterator[XYZWPartition]:
-        if k == len(per_superport):
-            xs, ys, zs = frozenset(X), frozenset(Y), frozenset(Z)
-            ws = frozenset(range(1, m + 1)) - xs - ys - zs
-            counts: dict[int, list[int]] = {r: [0, 0, 0] for r in boundary_reps}
-            for v in xs:
-                counts[forest.components[v]][0] += 1
-            for v in ys:
-                counts[forest.components[v]][1] += 1
-            for v in ws:
-                counts[forest.components[v]][2] += 1
-            for cx, cy, cw in counts.values():
-                if cx != cy or cx > 1 or cw != 1 - cx:
-                    return
-            yield XYZWPartition(X=xs, Y=ys, Z=zs, W=ws)
+    # what each component holds, as bits W = 1, X = 2, Y = 4
+    held = [0] * (net.n + 1)
+    for v in net.superports[-1]:
+        if held[comp[v]]:
             return
-        for ox, oy, oz in per_superport[k]:
-            yield from emit(k + 1, X + list(ox), Y + list(oy), Z + list(oz))
+        held[comp[v]] = 1
+    options = [_choices(sp) for sp in net.superports[:-1]]
+    found: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
 
-    yield from emit(0, [], [], [])
+    def choose(k: int, X: tuple[int, ...], Y: tuple[int, ...], Z: tuple[int, ...]) -> None:
+        if k == len(options):
+            found.append((X, Y, Z))
+            return
+        for ox, oy, oz, moves in options[k]:
+            placed = 0
+            for v, bit, blocked in moves:
+                c = comp[v]
+                if held[c] & blocked:
+                    break
+                held[c] |= bit
+                placed += 1
+            else:
+                choose(k + 1, X + ox, Y + oy, Z + oz)
+            for v, bit, _ in moves[:placed]:
+                held[comp[v]] ^= bit
+
+    choose(0, (), (), ())
+    boundary = frozenset(range(1, m + 1))
+    for X, Y, Z in found:
+        xs, ys, zs = frozenset(X), frozenset(Y), frozenset(Z)
+        yield XYZWPartition(X=xs, Y=ys, Z=zs, W=boundary - xs - ys - zs)
+
+
+@functools.lru_cache(maxsize=256)
+def _choices(sp: tuple[int, ...]):
+    """The choices condition (2) allows in one superport: one Z vertex, or an
+    ordered X-Y pair, the rest going to W.  Each is (X, Y, Z, moves), where
+    a move (v, bit, blocked) places v of kind bit (W = 1, X = 2, Y = 4) in
+    its component, which must hold none of the kinds in blocked: a W vertex
+    needs a component of its own, an X or Y vertex one without W or its
+    own kind."""
+    w_moves = lambda *taken: tuple((w, 1, 7) for w in sp if w not in taken)
+    z_choices = [((), (), (z,), w_moves(z)) for z in sp]
+    xy_choices = [
+        ((x,), (y,), (), ((x, 2, 3), (y, 4, 5), *w_moves(x, y)))
+        for x in sp for y in sp if x != y
+    ]
+    return tuple(z_choices + xy_choices)
 
 
 def permutation_parity(mapping: dict[int, int]) -> int:
@@ -408,6 +504,22 @@ class MainCycle(NamedTuple):
     @property
     def length(self) -> int:
         return len(self.edges)
+
+    def involution(self, part: XYZWPartition) -> XYZWPartition:
+        """The image of a partition of this cycle's forest under the
+        sign-reversing involution (see involution_f)."""
+        U = frozenset(u for u, _, _ in self.paths)
+        V = frozenset(v for _, v, _ in self.paths)
+        for a, b in ((U, V), (V, U)):
+            if a <= part.X and b <= part.Y:
+                return XYZWPartition(
+                    X=part.X - a, Y=part.Y - b, Z=part.Z | a, W=part.W | b
+                )
+            if a <= part.Z and b <= part.W:
+                return XYZWPartition(
+                    X=part.X | a, Y=part.Y | b, Z=part.Z - a, W=part.W - b
+                )
+        raise ValueError("partition does not satisfy the cycle condition")
 
 
 def simple_quotient_cycles(
@@ -535,15 +647,111 @@ def involution_f(
     mc = main_cycle(net, forest)
     if mc is None:
         raise ForestIsValid("the forest's quotient has no cycle")
-    U = frozenset(u for u, _, _ in mc.paths)
-    V = frozenset(v for _, v, _ in mc.paths)
-    for a, b in ((U, V), (V, U)):
-        if a <= part.X and b <= part.Y:
-            return XYZWPartition(
-                X=part.X - a, Y=part.Y - b, Z=part.Z | a, W=part.W | b
-            )
-        if a <= part.Z and b <= part.W:
-            return XYZWPartition(
-                X=part.X | a, Y=part.Y | b, Z=part.Z - a, W=part.W - b
-            )
-    raise ValueError("partition does not satisfy the cycle condition")
+    return mc.involution(part)
+
+
+# -- the forest pass ---------------------------------------------------------------
+
+
+class ForestPass:
+    """One pass over a network's spanning forests, shared by every sum that
+    reads them.
+
+    Sums register with `want` a taker for each component count they read;
+    `run` hands each forest to the takers of its count, from one fresh
+    enumeration or from an ensemble's buckets.  Sums add integer units (see
+    `Forest`) and `weight` divides by the scale once.  The totals several
+    identities share are kept once, on request (`share`).  What several
+    takers ask of one forest is decided once per forest: each fact keeps the
+    last forest asked about, and a forest reaches all its takers before the
+    next one comes.
+    """
+
+    def __init__(self, net: SuperportNetwork):
+        self.net = net
+        self.scale = conductance_scale(net)
+        self.takers: dict[int, list[Callable[[Forest], None]]] = {}
+        self.units: dict[str, int] = {}
+        m = net.m
+        # shared total -> (component count, which forests of that count it sums)
+        self._shared: dict[str, tuple[int, Callable[[Forest], bool]]] = {
+            "trees": (1, lambda f: True),
+            "valid": (m - net.p + 1, self.valid),
+            "electrical": (m, lambda f: len(set(f.components[1 : m + 1])) == m),
+        }
+        self._quotient = net.quotient()
+        self._relative_quotients = [(i, net.quotient((i,))) for i in net.non_roots]
+        self._valid: tuple = (None, False)
+        self._relative: tuple = (None, ())
+        self._partitions: tuple = (None, [])
+
+    def want(self, count: int, take: Callable[[Forest], None]) -> None:
+        self.takers.setdefault(count, []).append(take)
+
+    def share(self, *names: str) -> None:
+        """Keep the named shared totals: "trees" (1 component), "valid"
+        (m - p + 1) and "electrical", the forests with one boundary vertex
+        in each of their m components."""
+        for name in names:
+            if name not in self.units:
+                self.units[name] = 0
+                count, keep = self._shared[name]
+                self.want(count, functools.partial(self._add, name, keep))
+
+    def _add(self, name: str, keep: Callable[[Forest], bool], f: Forest) -> None:
+        if keep(f):
+            self.units[name] += f.units
+
+    def weight(self, units: int, count: int) -> Fraction:
+        """The weight that `units` stands for in forests with `count` components."""
+        return Fraction(units, self.scale ** (self.net.n - count))
+
+    def total(self, name: str) -> Fraction:
+        return self.weight(self.units[name], self._shared[name][0])
+
+    def _touches_boundary(self, f: Forest) -> bool:
+        """Every component holds a boundary vertex.  Validity, relative or
+        not, needs it: a component without one stays apart in the quotient."""
+        return len(set(f.components[1 : self.net.m + 1])) == f.component_count
+
+    def valid(self, f: Forest) -> bool:
+        if self._valid[0] is not f:
+            valid = self._touches_boundary(f) and quotient_is_tree(self._quotient, f)
+            self._valid = (f, valid)
+        return self._valid[1]
+
+    def relative(self, f: Forest) -> tuple[int, ...]:
+        """The non-roots i such that f is valid relative to i."""
+        if self._relative[0] is not f:
+            rel = ()
+            if self._touches_boundary(f):
+                rel = tuple(i for i, qg in self._relative_quotients if quotient_is_tree(qg, f))
+            self._relative = (f, rel)
+        return self._relative[1]
+
+    def signed_partitions(self, f: Forest) -> list[tuple[XYZWPartition, int]]:
+        """The forest's XYZW partitions, each with its sign."""
+        if self._partitions[0] is not f:
+            net = self.net
+            parts = partitions_for_forest(net, f)
+            self._partitions = (f, [(part, partition_sign(net, f, part)) for part in parts])
+        return self._partitions[1]
+
+    def run(
+        self, ensemble: Optional[ForestEnsemble] = None, cap: Optional[int] = DEFAULT_CAP
+    ) -> None:
+        """Hand every forest to the takers of its component count.  A fresh
+        enumeration refuses an over-cap network before the first forest."""
+        takers = self.takers
+        if ensemble is not None:
+            for count, fns in takers.items():
+                for f in ensemble.with_components(count):
+                    for take in fns:
+                        take(f)
+            return
+        forests = enumerate_spanning_forests(self.net, cap=cap)
+        if takers:
+            n = self.net.n
+            for f in forests:
+                for take in takers.get(n - len(f.edges), ()):
+                    take(f)

@@ -6,6 +6,19 @@ the combinatorial side by explicit enumeration of spanning forests.  All
 comparisons are exact rational equality; a failed comparison produces a
 report carrying the witness (network, indices, both values).
 
+The forest side of every identity is a set of sums registered on a
+`ForestPass`, each for the component counts it reads, in integer units:
+trees (1 component) for Kirchhoff and det L; valid forests (m - p + 1) for
+the entries, det L, the signed sum, the cancellation and the voltages;
+forests valid relative to a non-root (m - p) for the entries and the
+currents; electrically valid forests (m) for Kirchhoff and every
+Kenyon-Wilson minor; pairing forests (m - 1) for Kirchhoff's entries; and
+each minor's groupings (one component per group).  `run_verifications`
+registers the sums of every requested theorem, enumerates once, and then
+lets each theorem work out its matrix side and compare.  A standalone
+verifier runs the same sums on a pass of its own, reading the forests from
+an ensemble's buckets when one is given.
+
 Identities covered:
 
 * Kirchhoff: det of the reduced electrical response as a tree/forest weight
@@ -25,28 +38,31 @@ Identities covered:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .forests import (
     DEFAULT_CAP,
     Forest,
     ForestEnsemble,
+    ForestIsValid,
+    ForestPass,
     check_cap,
+    enumerate_spanning_forests,
     forest_sign,
-    involution_f,
-    is_valid,
-    partition_sign,
-    partitions_for_forest,
+    main_cycle,
     permutation_parity,
     quotient_components,
     quotient_is_tree,
+    quotient_path,
+    separates,
 )
-from .linalg import Matrix, rat, rat_str
+from .linalg import rat, rat_str
 from .network import (
     Circuit,
     Solution,
@@ -54,7 +70,6 @@ from .network import (
     canonical_network,
     make_circuit,
     network_to_data,
-    unify_superports,
     validate_and_canonicalize,
 )
 from .solver import (
@@ -135,14 +150,77 @@ def _report(theorem: str, failures: list, checks: int, lhs, rhs) -> Report:
     return Report(theorem=theorem, status="pass", lhs=str(lhs), rhs=str(rhs), checks=checks)
 
 
-def _electrical_valid_weight(ensemble: ForestEnsemble) -> Fraction:
-    """Weight sum of the valid forests of the underlying electrical network
-    (every component holds exactly one boundary vertex)."""
-    unified = unify_superports(ensemble.net)
-    return ensemble.quotient_tree_weight(unified.quotient())
+# -- the forest side: one pass, sums by component count --------------------------
+
+
+def _alone(net: SuperportNetwork, ensemble: Optional[ForestEnsemble], build, *args):
+    """Register one report's sums on a pass of their own, run it, and finish
+    the report."""
+    p = ForestPass(net)
+    finish = build(p, *args)
+    p.run(ensemble)
+    return finish()
 
 
 # -- Kirchhoff and Kenyon-Wilson (electrical identities) ---------------------------
+
+
+def _kirchhoff(p: ForestPass) -> Callable[[], Report]:
+    net, m = p.net, p.net.m
+    if m < 2:
+        raise ValueError("the identity needs at least two boundary vertices")
+    p.share("trees", "electrical")
+    pairs: dict[tuple[int, int], int] = {}
+
+    def add_pair(f: Forest) -> None:
+        # m boundary vertices fall into m - 1 components, so some component
+        # holds two; the forest counts when no other component is shared
+        first: dict[int, int] = {}
+        pair = None
+        for v in range(1, m + 1):
+            u = first.setdefault(f.components[v], v)
+            if u != v:
+                if pair is not None:
+                    return
+                pair = (u, v)
+        pairs[pair] = pairs.get(pair, 0) + f.units
+
+    p.want(m - 1, add_pair)
+
+    def report() -> Report:
+        C = electrical_response(net)
+        H = p.total("electrical")
+        failures: list = []
+        checks = 0
+
+        det_reduced = C.submatrix(range(m - 1), range(m - 1)).det()
+        ratio = p.total("trees") / H
+        checks += 1
+        if det_reduced != ratio:
+            failures.append(
+                (
+                    det_reduced,
+                    ratio,
+                    {"network": network_to_data(net), "part": 1},
+                )
+            )
+
+        for i in range(1, m + 1):
+            for j in range(i + 1, m + 1):
+                rhs = -p.weight(pairs.get((i, j), 0), m - 1) / H
+                for lhs in (C.entry(i, j), C.entry(j, i)):
+                    checks += 1
+                    if lhs != rhs:
+                        failures.append(
+                            (
+                                lhs,
+                                rhs,
+                                {"network": network_to_data(net), "part": 2, "entry": [i, j]},
+                            )
+                        )
+        return _report("kirchhoff", failures, checks, rat_str(det_reduced), rat_str(ratio))
+
+    return report
 
 
 def verify_kirchhoff(
@@ -157,61 +235,63 @@ def verify_kirchhoff(
     same denominator.  Part 2 is evaluated in one pass over the forests with
     m - 1 components.
     """
-    m = net.m
-    if m < 2:
-        raise ValueError("the identity needs at least two boundary vertices")
-    if ensemble is None:
-        ensemble = ForestEnsemble(net)
-    C = electrical_response(net)
-    H = _electrical_valid_weight(ensemble)
-    T = ensemble.tree_weight()
-    failures: list = []
-    checks = 0
+    return _alone(net, ensemble, _kirchhoff)
 
-    det_reduced = C.submatrix(range(m - 1), range(m - 1)).det()
-    ratio = T / H
-    checks += 1
-    if det_reduced != ratio:
-        failures.append(
-            (
-                det_reduced,
-                ratio,
-                {"network": network_to_data(net), "part": 1},
+
+def _kw_minor(
+    p: ForestPass, X: Sequence[int], Y: Sequence[int], Z: Sequence[int], signed: bool = True
+) -> Callable[[], Report]:
+    net, m = p.net, p.net.m
+    xs, ys, zs = tuple(X), tuple(Y), tuple(Z)
+    if len(xs) != len(ys):
+        raise ValueError("|X| and |Y| must agree")
+    pooled = (*xs, *ys, *zs)
+    if len(set(pooled)) != len(pooled):
+        raise ValueError("X, Y, Z must be disjoint")
+    for v in pooled:
+        if not net.is_boundary(v):
+            raise ValueError(f"vertex {v} is not a boundary vertex")
+    p.share("electrical")
+    W = tuple(v for v in range(1, m + 1) if v not in set(pooled))
+    k = len(xs)
+    terms = []
+    for pi in itertools.permutations(range(k)):
+        sgn = permutation_parity({t: pi[t] for t in range(k)})
+        terms.append((sgn, [(xs[t], ys[pi[t]]) for t in range(k)] + [(w,) for w in W]))
+    count = k + len(W)  # one component per group
+    total = 0
+
+    def add(f: Forest) -> None:
+        nonlocal total
+        for sgn, groups in terms:
+            if separates(f, groups):
+                total += sgn * f.units
+
+    p.want(count, add)
+
+    def report() -> Report:
+        C = electrical_response(net)
+        lhs = C.take(xs + zs, ys + zs).det()
+        factor = -1 if (signed and k % 2 == 1) else 1
+        rhs = factor * p.weight(total, count) / p.total("electrical")
+        failures: list = []
+        if lhs != rhs:
+            failures.append(
+                (
+                    lhs,
+                    rhs,
+                    {
+                        "network": network_to_data(net),
+                        "X": list(xs),
+                        "Y": list(ys),
+                        "Z": list(zs),
+                        "signed": signed,
+                    },
+                )
             )
-        )
+        return _report("kenyon-wilson", failures, 1, rat_str(lhs), rat_str(rhs))
 
-    pair_sums: dict[tuple[int, int], Fraction] = {}
-    for f in ensemble.with_components(m - 1):
-        by_rep: dict[int, list[int]] = {}
-        for v in range(1, m + 1):
-            by_rep.setdefault(f.components[v], []).append(v)
-        if len(by_rep) != m - 1:
-            continue  # some component carries no boundary vertex
-        pair: Optional[tuple[int, int]] = None
-        ok = True
-        for members in by_rep.values():
-            if len(members) == 2:
-                pair = (members[0], members[1])
-            elif len(members) != 1:
-                ok = False
-                break
-        if ok and pair is not None:
-            pair_sums[pair] = pair_sums.get(pair, Fraction(0)) + f.weight
-
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            rhs = -pair_sums.get((i, j), Fraction(0)) / H
-            for lhs in (C.entry(i, j), C.entry(j, i)):
-                checks += 1
-                if lhs != rhs:
-                    failures.append(
-                        (
-                            lhs,
-                            rhs,
-                            {"network": network_to_data(net), "part": 2, "entry": [i, j]},
-                        )
-                    )
-    return _report("kirchhoff", failures, checks, rat_str(det_reduced), rat_str(ratio))
+    return report
 
 
 def verify_kw_minor(
@@ -233,50 +313,52 @@ def verify_kw_minor(
     With signed=False the leading factor is dropped; the identity is then
     expected to break for odd |X|.
     """
-    m = net.m
-    xs, ys, zs = tuple(X), tuple(Y), tuple(Z)
-    if len(xs) != len(ys):
-        raise ValueError("|X| and |Y| must agree")
-    pooled = (*xs, *ys, *zs)
-    if len(set(pooled)) != len(pooled):
-        raise ValueError("X, Y, Z must be disjoint")
-    for v in pooled:
-        if not net.is_boundary(v):
-            raise ValueError(f"vertex {v} is not a boundary vertex")
-    if ensemble is None:
-        ensemble = ForestEnsemble(net)
-    C = electrical_response(net)
-    W = tuple(v for v in range(1, m + 1) if v not in set(pooled))
-
-    lhs = C.take(xs + zs, ys + zs).det()
-    k = len(xs)
-    total = Fraction(0)
-    for pi in itertools.permutations(range(k)):
-        sgn = permutation_parity({t: pi[t] for t in range(k)})
-        groups = [(xs[t], ys[pi[t]]) for t in range(k)] + [(w,) for w in W]
-        total += sgn * ensemble.grouped_weight(groups)
-    factor = -1 if (signed and k % 2 == 1) else 1
-    rhs = factor * total / _electrical_valid_weight(ensemble)
-
-    failures: list = []
-    if lhs != rhs:
-        failures.append(
-            (
-                lhs,
-                rhs,
-                {
-                    "network": network_to_data(net),
-                    "X": list(xs),
-                    "Y": list(ys),
-                    "Z": list(zs),
-                    "signed": signed,
-                },
-            )
-        )
-    return _report("kenyon-wilson", failures, 1, rat_str(lhs), rat_str(rhs))
+    return _alone(net, ensemble, _kw_minor, X, Y, Z, signed)
 
 
 # -- superport response identities ---------------------------------------------
+
+
+def _need_non_roots(net: SuperportNetwork) -> None:
+    if not net.non_roots:
+        raise NoNonRootVertices("every boundary vertex is a root")
+
+
+def _entries(p: ForestPass) -> Callable[[], Report]:
+    net = p.net
+    _need_non_roots(net)
+    p.share("valid")
+    nr = net.non_roots
+    num = {(i, j): 0 for i in nr for j in nr}
+    # splitting a non-root off its superport adds one quotient class, so the
+    # forests valid relative to any non-root all have m - p components
+    count = net.m - net.p
+
+    def add(f: Forest) -> None:
+        rel = p.relative(f)
+        for i in rel:
+            for j in rel:
+                num[i, j] += forest_sign(f, net, i, j) * f.units
+
+    p.want(count, add)
+
+    def report() -> Report:
+        L = c2l(electrical_response(net), net.superports)
+        D = p.total("valid")
+        failures: list = []
+        for (i, j), total in num.items():
+            rhs = p.weight(total, count) / D
+            lhs = L.entry(i, j)
+            if lhs != rhs:
+                failures.append(
+                    (lhs, rhs, {"network": network_to_data(net), "entry": [i, j]})
+                )
+        checks = len(num)
+        return _report(
+            "response-entries", failures, checks, f"{checks} entries", f"{checks} sums"
+        )
+
+    return report
 
 
 def verify_L_entries(
@@ -285,33 +367,23 @@ def verify_L_entries(
     """Every entry of the superport response as a signed forest sum: L_i^j
     sums forest_sign(G, i, j) * w(G) over forests valid relative to both i
     and j, over the valid-forest weight sum."""
-    if not net.non_roots:
-        raise NoNonRootVertices("every boundary vertex is a root")
-    if ensemble is None:
-        ensemble = ForestEnsemble(net)
-    L = c2l(electrical_response(net), net.superports)
-    D = ensemble.valid_weight()
-    nr = net.non_roots
-    # splitting a non-root off its superport adds one quotient class, so the
-    # forests valid relative to any non-root all have m - p components
-    num = {(i, j): Fraction(0) for i in nr for j in nr}
-    for f in ensemble.with_components(net.m - net.p):
-        rel = [i for i in nr if quotient_is_tree(net.quotient((i,)), f)]
-        for i in rel:
-            for j in rel:
-                num[i, j] += forest_sign(f, net, i, j) * f.weight
-    failures: list = []
-    for (i, j), total in num.items():
-        rhs = total / D
-        lhs = L.entry(i, j)
+    return _alone(net, ensemble, _entries)
+
+
+def _det_L(p: ForestPass) -> Callable[[], Report]:
+    net = p.net
+    _need_non_roots(net)
+    p.share("trees", "valid")
+
+    def report() -> Report:
+        lhs = c2l(electrical_response(net), net.superports).det()
+        rhs = p.total("trees") / p.total("valid")
+        failures: list = []
         if lhs != rhs:
-            failures.append(
-                (lhs, rhs, {"network": network_to_data(net), "entry": [i, j]})
-            )
-    checks = len(num)
-    return _report(
-        "response-entries", failures, checks, f"{checks} entries", f"{checks} sums"
-    )
+            failures.append((lhs, rhs, {"network": network_to_data(net)}))
+        return _report("det-response", failures, 1, rat_str(lhs), rat_str(rhs))
+
+    return report
 
 
 def verify_det_L(
@@ -319,16 +391,7 @@ def verify_det_L(
 ) -> Report:
     """det L as the ratio of the spanning-tree weight sum to the valid
     forest weight sum."""
-    if not net.non_roots:
-        raise NoNonRootVertices("every boundary vertex is a root")
-    if ensemble is None:
-        ensemble = ForestEnsemble(net)
-    lhs = c2l(electrical_response(net), net.superports).det()
-    rhs = ensemble.tree_weight() / ensemble.valid_weight()
-    failures: list = []
-    if lhs != rhs:
-        failures.append((lhs, rhs, {"network": network_to_data(net)}))
-    return _report("det-response", failures, 1, rat_str(lhs), rat_str(rhs))
+    return _alone(net, ensemble, _det_L)
 
 
 def verify_valid_minor_sum(
@@ -341,8 +404,7 @@ def verify_valid_minor_sum(
     where I and J pick one vertex from each superport but the last.  With a
     single superport the sum is the empty 0x0 minor, i.e. 1.
     """
-    if not net.non_roots:
-        raise NoNonRootVertices("every boundary vertex is a root")
+    _need_non_roots(net)
     C = electrical_response(net)
     L = c2l(C, net.superports)
     m = net.m
@@ -365,37 +427,39 @@ def verify_valid_minor_sum(
     )
 
 
+def _signed_sum(p: ForestPass) -> Callable[[], Report]:
+    net = p.net
+    p.share("valid")
+    total = 0
+
+    def add(f: Forest) -> None:
+        nonlocal total
+        for _, sign in p.signed_partitions(f):
+            total += sign * f.units
+
+    p.want(net.m - net.p + 1, add)
+
+    def report() -> Report:
+        lhs = p.weight(total, net.m - net.p + 1)
+        rhs = p.total("valid")
+        failures: list = []
+        if lhs != rhs:
+            failures.append((lhs, rhs, {"network": network_to_data(net)}))
+        return _report("signed-sum", failures, 1, rat_str(lhs), rat_str(rhs))
+
+    return report
+
+
 def verify_signed_sum(
     net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
 ) -> Report:
     """The signed partition sum over all forests and XYZW colorings equals
     the plain valid-forest weight sum."""
-    if ensemble is None:
-        ensemble = ForestEnsemble(net)
-    lhs = Fraction(0)
-    for f in ensemble.with_components(net.m - net.p + 1):
-        for part in partitions_for_forest(net, f):
-            lhs += partition_sign(net, f, part) * f.weight
-    rhs = ensemble.valid_weight()
-    failures: list = []
-    if lhs != rhs:
-        failures.append((lhs, rhs, {"network": network_to_data(net)}))
-    return _report("signed-sum", failures, 1, rat_str(lhs), rat_str(rhs))
+    return _alone(net, ensemble, _signed_sum)
 
 
-def verify_cancellation(
-    net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
-) -> Report:
-    """Per-forest structure behind the signed sum.
-
-    A valid forest must carry exactly one partition, with empty X and Y and
-    sign +1.  A non-valid forest's partitions must cancel pairwise under the
-    involution: f maps each partition to a different partition of the same
-    forest with the opposite sign, f o f is the identity, and the signed sum
-    over the forest's partitions is zero.
-    """
-    if ensemble is None:
-        ensemble = ForestEnsemble(net)
+def _cancellation(p: ForestPass) -> Callable[[], Report]:
+    net = p.net
     failures: list = []
     checks = 0
 
@@ -412,45 +476,128 @@ def verify_cancellation(
             )
         )
 
-    for f in ensemble.with_components(net.m - net.p + 1):
-        parts = list(partitions_for_forest(net, f))
-        if is_valid(f, net):
+    def add(f: Forest) -> None:
+        nonlocal checks
+        parts = p.signed_partitions(f)
+        if p.valid(f):
             checks += 1
             if len(parts) != 1:
                 fail(len(parts), 1, f, "valid forest partition count")
-                continue
-            part = parts[0]
-            if part.X or part.Y or partition_sign(net, f, part) != 1:
+                return
+            part, sign = parts[0]
+            if part.X or part.Y or sign != 1:
                 fail(str(part), "X=Y=empty, sign +1", f, "valid forest partition")
-            continue
+            return
         if not parts:
-            continue
+            return
         checks += 1
-        signs = [partition_sign(net, f, p) for p in parts]
-        if sum(signs) != 0:
-            fail(sum(signs), 0, f, "non-valid forest signed count")
-            continue
-        index = dict(zip(parts, signs))
-        for part in parts:
-            image = involution_f(net, f, part)
+        total = sum(sign for _, sign in parts)
+        if total != 0:
+            fail(total, 0, f, "non-valid forest signed count")
+            return
+        index = dict(parts)
+        mc = main_cycle(net, f)
+        if mc is None:
+            raise ForestIsValid("the forest's quotient has no cycle")
+        for part, sign in parts:
+            image = mc.involution(part)
             if image not in index:
                 fail(str(image), "a partition of the forest", f, "involution image")
-                break
+                return
             if image == part:
                 fail(str(image), "a different partition", f, "involution fixed point")
-                break
-            if index[image] != -index[part]:
-                fail(index[image], -index[part], f, "involution sign")
-                break
-            if involution_f(net, f, image) != part:
+                return
+            if index[image] != -sign:
+                fail(index[image], -sign, f, "involution sign")
+                return
+            if mc.involution(image) != part:
                 fail("f(f(part))", "part", f, "involution squared")
-                break
-    return _report(
+                return
+
+    p.want(net.m - net.p + 1, add)
+    return lambda: _report(
         "partition-cancellation", failures, checks, f"{checks} forests", "structure holds"
     )
 
 
+def verify_cancellation(
+    net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
+) -> Report:
+    """Per-forest structure behind the signed sum.
+
+    A valid forest must carry exactly one partition, with empty X and Y and
+    sign +1.  A non-valid forest's partitions must cancel pairwise under the
+    involution: f maps each partition to a different partition of the same
+    forest with the opposite sign, f o f is the identity, and the signed sum
+    over the forest's partitions is zero.  The main cycle that drives f is
+    found once per forest.
+    """
+    return _alone(net, ensemble, _cancellation)
+
+
 # -- combinatorial solution and gluing ----------------------------------------------
+
+
+def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
+    """For each nonzero difference at i: the valid forests joining each vertex
+    to [i] in the {i}-quotient, and the forests valid relative to i by the
+    edges that their path from [i] to [root(i)] crosses."""
+    net = p.net
+    n, m = net.n, net.m
+    p.share("valid")
+    terms = [(i, du, net.quotient((i,))) for i, du in circuit.deltas if du != 0]
+    volt = {i: [0] * (n + 1) for i, _, _ in terms}
+    flow: dict[int, dict[tuple[int, int], int]] = {i: {} for i, _, _ in terms}
+
+    def add_voltages(f: Forest) -> None:
+        if not p.valid(f):
+            return
+        for i, _, qg in terms:
+            root = quotient_components(qg, f)[0]
+            ci = root[qg.class_of[i]]
+            units = volt[i]
+            for v in range(1, n + 1):
+                if root[qg.class_of[v]] == ci:
+                    units[v] += f.units
+
+    def add_currents(f: Forest) -> None:
+        rel = p.relative(f)
+        for i, _, qg in terms:
+            if i not in rel:
+                continue
+            units = flow[i]
+            for key in quotient_path(net, qg, f, i, net.root_of[i]):
+                units[key] = units.get(key, 0) + f.units
+
+    p.want(net.m - net.p + 1, add_voltages)
+    p.want(net.m - net.p, add_currents)
+
+    def solution() -> Solution:
+        # voltage sums run over valid forests and current sums over forests
+        # with one edge more, so against the valid total only one factor of
+        # the scale is left, on the currents
+        valid = p.units["valid"]
+        voltages = tuple(
+            sum((du * (volt[i][v] - volt[i][m]) for i, du, _ in terms), Fraction(0)) / valid
+            for v in range(1, n + 1)
+        )
+        table = [[Fraction(0)] * n for _ in range(n)]
+        for u, v, _ in net.edges:
+            through = sum(
+                (du * (flow[i].get((u, v), 0) - flow[i].get((v, u), 0)) for i, du, _ in terms),
+                Fraction(0),
+            )
+            cur = through / (valid * p.scale)
+            table[u - 1][v - 1] = cur
+            table[v - 1][u - 1] = -cur
+        incoming = tuple(sum(table[k - 1], Fraction(0)) for k in range(1, m + 1))
+        return Solution(
+            voltages=voltages,
+            currents=tuple(tuple(r) for r in table),
+            incoming=incoming,
+        )
+
+    return solution
 
 
 def combinatorial_solution(
@@ -466,75 +613,27 @@ def combinatorial_solution(
     edge, minus the reverse traversals.  Voltages are normalized to vanish
     at the last boundary vertex, like the solver's.
     """
-    net = circuit.network
-    if ensemble is None:
-        ensemble = ForestEnsemble(net)
-    D = ensemble.valid_weight()
-    n, m = net.n, net.m
-    volt_raw = [Fraction(0)] * (n + 1)
-    edge_num: dict[tuple[int, int], Fraction] = {}
+    return _alone(circuit.network, ensemble, _solution, circuit)
 
-    for i, du in circuit.deltas:
-        if du == 0:
-            continue
-        qg = net.quotient((i,))
-        k_classes = len(qg.classes)
-        ci = qg.class_of[i]
-        cr = qg.class_of[net.root_of[i]]
 
-        for f in ensemble.valid_forests():
-            root = quotient_components(qg, f)[0]
-            contribution = du * f.weight
-            for v in range(1, n + 1):
-                if root[qg.class_of[v]] == root[ci]:
-                    volt_raw[v] += contribution
+def _forest_solution(p: ForestPass, circuit: Circuit) -> Callable[[], Report]:
+    solution = _solution(p, circuit)
 
-        for f in ensemble.quotient_trees(qg):
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(k_classes)]
-            for e in f.edges:
-                a, b = qg.edge_classes[e]
-                adj[a].append((b, e))
-                adj[b].append((a, e))
-            prev: dict[int, tuple[int, int]] = {ci: (-1, -1)}
-            queue = [ci]
-            while queue:
-                cur = queue.pop()
-                if cur == cr:
-                    break
-                for b, e in adj[cur]:
-                    if b not in prev:
-                        prev[b] = (cur, e)
-                        queue.append(b)
-            steps = []
-            cur = cr
-            while cur != ci:
-                a, e = prev[cur]
-                steps.append((a, cur, e))
-                cur = a
-            for a, b, e in steps:
-                u, v, _ = net.edges[e]
-                if qg.class_of[u] == a:
-                    key = (u, v)
-                else:
-                    key = (v, u)
-                edge_num[key] = edge_num.get(key, Fraction(0)) + du * f.weight
+    def report() -> Report:
+        failures: list = []
+        if solve(circuit) != solution():
+            failures.append(
+                (
+                    "solver solution",
+                    "forest-formula solution",
+                    {"network": network_to_data(p.net), "deltas": [
+                        [k, rat_str(d)] for k, d in circuit.deltas
+                    ]},
+                )
+            )
+        return _report("forest-solution", failures, 1, "solver", "forest formulas")
 
-    voltages = tuple(
-        (volt_raw[v] - volt_raw[m]) / D for v in range(1, n + 1)
-    )
-    table = [[Fraction(0)] * n for _ in range(n)]
-    for u, v, _ in net.edges:
-        cur = (
-            edge_num.get((u, v), Fraction(0)) - edge_num.get((v, u), Fraction(0))
-        ) / D
-        table[u - 1][v - 1] = cur
-        table[v - 1][u - 1] = -cur
-    incoming = tuple(sum(table[k - 1], Fraction(0)) for k in range(1, m + 1))
-    return Solution(
-        voltages=voltages,
-        currents=tuple(tuple(r) for r in table),
-        incoming=incoming,
-    )
+    return report
 
 
 def unit_circuit(net: SuperportNetwork, i: int) -> Circuit:
@@ -645,7 +744,10 @@ def complete_network(m: int) -> SuperportNetwork:
 def cayley_count(m: int, *, cap: Optional[int] = None) -> tuple[int, int]:
     """(enumerated spanning trees of the unit complete graph, m ** (m-2))."""
     check_cap(math.comb(max(m, 0), 2), cap)
-    brute = len(ForestEnsemble(complete_network(m), cap=cap).with_components(1))
+    trees = enumerate_spanning_forests(
+        complete_network(m), lambda f: f.component_count == 1, cap=cap
+    )
+    brute = sum(1 for _ in trees)
     closed = int(Fraction(m) ** (m - 2))
     return brute, closed
 
@@ -700,9 +802,6 @@ def verify_generalized_cayley(
         ],
         groups,
     )
-    ensemble = ForestEnsemble(net, cap=cap)
-    valid_count = len(ensemble.valid_forests())
-
     required: set[int] = set()
     pair_index = {(u, v): idx for idx, (u, v, _) in enumerate(net.edges)}
     for g in groups:
@@ -712,7 +811,13 @@ def verify_generalized_cayley(
             else [(g[t], g[t + 1]) for t in range(len(g) - 1)]
         )
         required.update(pair_index[e] for e in tree)
-    containing = sum(1 for f in ensemble.with_components(1) if required.issubset(f.edges))
+    quotient = net.quotient()
+    valid_count = containing = 0
+    for f in enumerate_spanning_forests(net, cap=cap):
+        if quotient_is_tree(quotient, f):
+            valid_count += 1
+        if f.component_count == 1 and required.issubset(f.edges):
+            containing += 1
     closed = int(Fraction(n) ** (r - 2) * math.prod(sizes))
 
     failures: list = []
@@ -879,91 +984,50 @@ def random_xyzw(
 # -- registry -----------------------------------------------------------------------
 
 
-def _reports_kirchhoff(net, ensemble, rng) -> list[Report]:
-    if net.m < 2:
-        return []
-    return [verify_kirchhoff(net, ensemble=ensemble)]
-
-
-def _reports_kw(net, ensemble, rng) -> list[Report]:
-    reports = []
-    m = net.m
-    if m >= 2:
-        reports.append(
-            verify_kw_minor(net, (1,), (2,), (), ensemble=ensemble)
-        )
-    reports.append(
-        verify_kw_minor(
-            net, (), (), tuple(range(1, m)), ensemble=ensemble
-        )
-    )
+def _plan_kw(p: ForestPass, rng: Optional[random.Random]) -> list[Callable[[], Report]]:
+    m = p.net.m
+    minors = [((1,), (2,), ())] if m >= 2 else []
+    minors.append(((), (), tuple(range(1, m))))
     if rng is not None:
-        X, Y, Z = random_xyzw(rng, m)
-        reports.append(verify_kw_minor(net, X, Y, Z, ensemble=ensemble))
-    return reports
+        minors.append(random_xyzw(rng, m))
+    return [_kw_minor(p, X, Y, Z) for X, Y, Z in minors]
 
 
-def _reports_entries(net, ensemble, rng) -> list[Report]:
-    if not net.non_roots:
-        return []
-    return [verify_L_entries(net, ensemble=ensemble)]
+def _plan_solution(p: ForestPass, rng: Optional[random.Random]) -> list[Callable[[], Report]]:
+    circuit = random_circuit(rng if rng is not None else random.Random(0), p.net)
+    return [_forest_solution(p, circuit)]
 
 
-def _reports_detl(net, ensemble, rng) -> list[Report]:
-    if not net.non_roots:
-        return []
-    return [verify_det_L(net, ensemble=ensemble)]
+def _plan_gluing(p: ForestPass, rng: Optional[random.Random]) -> list[Callable[[], Report]]:
+    return [functools.partial(verify_gluing, unit_circuit(p.net, i), i) for i in p.net.non_roots]
 
 
-def _reports_minorsum(net, ensemble, rng) -> list[Report]:
-    if not net.non_roots:
-        return []
-    return [verify_valid_minor_sum(net, ensemble=ensemble)]
-
-
-def _reports_signedsum(net, ensemble, rng) -> list[Report]:
-    return [
-        verify_signed_sum(net, ensemble=ensemble),
-        verify_cancellation(net, ensemble=ensemble),
-    ]
-
-
-def _reports_gluing(net, ensemble, rng) -> list[Report]:
-    return [verify_gluing(unit_circuit(net, i), i) for i in net.non_roots]
-
-
-def _reports_solution(net, ensemble, rng) -> list[Report]:
-    if rng is None:
-        rng = random.Random(0)
-    circuit = random_circuit(rng, net)
-    direct = solve(circuit)
-    combinatorial = combinatorial_solution(circuit, ensemble=ensemble)
-    failures: list = []
-    if direct != combinatorial:
-        failures.append(
-            (
-                "solver solution",
-                "forest-formula solution",
-                {"network": network_to_data(net), "deltas": [
-                    [k, rat_str(d)] for k, d in circuit.deltas
-                ]},
-            )
-        )
-    return [
-        _report("forest-solution", failures, 1, "solver", "forest formulas")
-    ]
-
-
-THEOREMS = {
-    "kirchhoff": _reports_kirchhoff,
-    "kw": _reports_kw,
-    "entries": _reports_entries,
-    "detl": _reports_detl,
-    "minorsum": _reports_minorsum,
-    "signedsum": _reports_signedsum,
-    "gluing": _reports_gluing,
-    "solution": _reports_solution,
+# theorem -> registers the forest sums of its reports on the pass and returns
+# the step that finishes each report; random choices are drawn here, before
+# the pass, in the order the theorems are named.  A theorem whose
+# preconditions the network does not meet has no reports.
+_PLANS = {
+    "kirchhoff": lambda p, rng: [_kirchhoff(p)] if p.net.m >= 2 else [],
+    "kw": _plan_kw,
+    "entries": lambda p, rng: [_entries(p)] if p.net.non_roots else [],
+    "detl": lambda p, rng: [_det_L(p)] if p.net.non_roots else [],
+    "minorsum": lambda p, rng: (
+        [functools.partial(verify_valid_minor_sum, p.net)] if p.net.non_roots else []
+    ),
+    "signedsum": lambda p, rng: [_signed_sum(p), _cancellation(p)],
+    "gluing": _plan_gluing,
+    "solution": _plan_solution,
 }
+
+
+def _finish(steps: list[Callable[[], Report]]) -> list[Report]:
+    return [step() for step in steps]
+
+
+# theorem -> makes its reports once the pass has run: the matrix side and the
+# comparisons.  Every entry is the same function; one entry per theorem lets
+# a caller wrap, and so time, each theorem on its own.
+THEOREMS = dict.fromkeys(_PLANS, _finish)
 
 
 def run_verifications(
@@ -973,17 +1037,24 @@ def run_verifications(
     rng: Optional[random.Random] = None,
     cap: Optional[int] = DEFAULT_CAP,
 ) -> list[Report]:
-    """Run the named identity checks on one network, sharing a single forest
-    enumeration.  Checks whose preconditions the network does not meet are
-    skipped (a network with all-root boundary has no response to verify)."""
+    """Run the named identity checks on one network in a single forest pass.
+
+    Each theorem first registers the sums its reports need; one enumeration
+    then hands every forest to the sums that want its component count; last,
+    each theorem's THEOREMS entry makes its reports.  Checks whose
+    preconditions the network does not meet are skipped (a network with
+    all-root boundary has no response to verify).
+    """
     names = list(theorems)
     if "all" in names:
         names = list(THEOREMS)
     for name in names:
         if name not in THEOREMS:
             raise ValueError(f"unknown theorem {name!r}")
-    ensemble = ForestEnsemble(net, cap=cap)
+    p = ForestPass(net)
+    plans = [(name, _PLANS[name](p, rng)) for name in names]
+    p.run(cap=cap)
     reports: list[Report] = []
-    for name in names:
-        reports.extend(THEOREMS[name](net, ensemble, rng))
+    for name, steps in plans:
+        reports.extend(THEOREMS[name](steps))
     return reports

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from superport import (
     involution_f,
     is_relatively_valid,
     is_valid,
+    kirchhoff_matrix,
     main_cycle,
     partition_sign,
     partitions_for_forest,
@@ -386,3 +388,66 @@ def test_with_components_splits_forests_by_family(seed):
     for X in [(), *((i,) for i in net.non_roots), tuple(net.non_roots[:2])]:
         qg = net.quotient(X)
         assert ens.quotient_trees(qg) == [f for f in ens.forests if quotient_is_tree(qg, f)]
+
+
+PRIMES = [q for q in range(2, 98) if all(q % d for d in range(2, q))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_integer_units_are_exact(seed):
+    # pairwise coprime denominators make the common scale as large as it gets
+    rng = random.Random(seed)
+    shape = random_network(rng, max_n=6, max_edges=9)
+    denominators = rng.sample(PRIMES, len(shape.edges))
+    net = canonical_network(
+        [
+            (u, v, Fraction(rng.randint(1, 97), q))
+            for (u, v, _), q in zip(shape.edges, denominators)
+        ],
+        shape.superports,
+    )
+    trees = Fraction(0)
+    for f in enumerate_spanning_forests(net):
+        product = Fraction(1)
+        for e in f.edges:
+            product *= net.edges[e][2]
+        assert f.weight == product
+        if f.component_count == 1:
+            trees += f.weight
+    K = kirchhoff_matrix(net)
+    assert trees == K.submatrix(range(net.n - 1), range(net.n - 1)).det()
+    assert ForestEnsemble(net).tree_weight() == trees
+
+
+def brute_partitions(net, forest):
+    """Conditions (1)-(3) of XYZWPartition checked on every choice in the
+    full per-superport product."""
+    options = [
+        [((), (), (z,)) for z in sp] + [((x,), (y,), ()) for x in sp for y in sp if x != y]
+        for sp in net.superports[:-1]
+    ]
+    boundary = frozenset(range(1, net.m + 1))
+    found = set()
+    for choice in itertools.product(*options):
+        X, Y, Z = (frozenset(v for option in choice for v in option[k]) for k in range(3))
+        W = boundary - X - Y - Z
+        for c in set(forest.components[1:]):
+            members = [v for v in range(1, net.n + 1) if forest.components[v] == c]
+            cx, cy, cw = (sum(v in s for v in members) for s in (X, Y, W))
+            if (cx, cy, cw) not in ((0, 0, 1), (1, 1, 0)):
+                break
+        else:
+            found.add(XYZWPartition(X=X, Y=Y, Z=Z, W=W))
+    return found
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_pruned_partitions_match_brute_force(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_n=6, max_edges=9, p_max=3)
+    for f in enumerate_spanning_forests(net):
+        parts = list(partitions_for_forest(net, f))
+        assert len(parts) == len(set(parts))
+        assert set(parts) == brute_partitions(net, f)

@@ -29,7 +29,11 @@ def test_install_traces_and_restore_puts_originals_back():
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        reports = run_verifications(w_network(1, 2, 3, 4), ["all"], rng=random.Random(0))
+        net = w_network(1, 2, 3, 4)
+        reports = run_verifications(net, ["all"], rng=random.Random(0))
+        # run_verifications streams its forests; the ensemble's wrappers are
+        # reached through a caller that materializes them
+        forests.ForestEnsemble(net).valid_forests()
     finally:
         tracer.restore()
     assert reports and all(r.ok for r in reports)

@@ -178,7 +178,7 @@ class TestResponseTheorems:
             signed.append(part)
             return partition_sign(net, forest, part)
 
-        monkeypatch.setattr("superport.verify.partition_sign", counting_sign)
+        monkeypatch.setattr("superport.forests.partition_sign", counting_sign)
         assert verify_cancellation(net, ensemble=ens).ok
         assert len(signed) == partitions
 
