@@ -2,14 +2,16 @@
 
 All scalars are `fractions.Fraction`: stored reduced, positive denominator,
 exact arithmetic throughout; floats and bools are rejected.  Matrices are
-immutable, dense, and small, so one plain Gaussian forward-elimination
-kernel, `_eliminate`, does all the work: eliminating the leading k columns
-yields the determinant of the leading k x k block and leaves its Schur
-complement in the trailing block.  `det` eliminates everything,
-`schur_complement` moves the dropped positions first, and `invert` and
-`solve_linear_system` read A^-1 B off the Schur complement of A in
-[[A, B], [-I, 0]].  Plain elimination is the right trade-off at the sizes
-this package meets (n <= ~30).
+immutable, dense, and small (n <= ~30), and one kernel, `_eliminate`, does
+the elimination: Bareiss's fraction-free forward elimination on the rows
+scaled to integers (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968).  Its integer
+entries are bordered minors, so no gcd is paid until the end, when each
+output entry becomes a Fraction once.  `det` reads the last pivot,
+`schur_complement` moves the dropped positions first and reads the trailing
+block, and `invert` and `solve_linear_system` eliminate [A | B] and back
+substitute on integers, since det(A) A^-1 B is an integer matrix once
+[A | B] has integer rows.
 
 Rows and columns may carry integer labels (vertex numbers), which lets
 callers drive row/column operations by vertex identity instead of position.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -70,8 +73,31 @@ def rat(value: object) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Serialize a Fraction as "p/q", or as "p" when the denominator is 1."""
-    return str(value)
+    """Serialize a Fraction as "p/q", or as "p" when the denominator is 1.
+
+    Always in full: str() refuses an int of more digits than
+    sys.get_int_max_str_digits(), and exact results grow past that (4300 by
+    default) on inputs the loader accepts.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        text = _decimal(abs(value.numerator))
+        if value.denominator != 1:
+            text += "/" + _decimal(value.denominator)
+        return "-" + text if value < 0 else text
+
+
+_PIECE = 10 ** 600  # fewer digits than the lowest limit Python allows, 640
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of an int n >= 0 of any length, converted in pieces."""
+    if n < _PIECE:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
 
 
 def _check_labels(labels: Optional[Iterable[int]], count: int, axis: str):
@@ -85,34 +111,71 @@ def _check_labels(labels: Optional[Iterable[int]], count: int, axis: str):
     return tup
 
 
-def _eliminate(a: list[list[Fraction]], k: int) -> Fraction:
-    """Forward elimination of the first k columns of `a`, in place.
+def _eliminate(
+    a: Sequence[Sequence[Fraction]], k: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free forward elimination of the first k columns of `a`.
 
-    `a` is a list of at least k rows of equal length.  Pivots are sought
-    among the first k rows only, so the trailing rows keep their places.
-    Returns the determinant of the leading k x k block and leaves that
-    block's Schur complement in the trailing rows and columns, a[k:][k:];
-    raises SingularMatrix when the block is singular.  The entries left
-    below each pivot are stale and must not be read.
+    `a` is a list of at least k rows of equal length, of Fractions or ints,
+    and is not modified.  Each row is scaled to integers by the lcm of its
+    denominators, and Bareiss's elimination runs on those: step t turns
+    every row below t into (pivot * row - factor * pivot_row) / previous
+    pivot, a division that is exact, so after step t each entry is a
+    bordered (t+1)-minor of the scaled matrix.  Pivots are sought among the
+    first k rows only, so the trailing rows keep their places; a swap
+    negates the row it moves down, so it keeps the determinant's sign.
+
+    Returns (rows, scales, pivot): the eliminated integer rows (entries
+    left of a row's diagonal are stale), each row's scale, and the last
+    pivot, which is the determinant of the scaled leading k x k block.  So
+    that block's determinant is pivot / prod(scales[:k]), and its Schur
+    complement has entry rows[i][j] / (pivot * scales[i]) for i, j >= k.
+    Raises SingularMatrix when the block is singular.
     """
-    det = Fraction(1)
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    rows = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(a, scales)]
+    prev = 1
     for col in range(k):
-        pivot_row = next((r for r in range(col, k) if a[r][col]), None)
+        pivot_row = next((r for r in range(col, k) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularMatrix("matrix is singular")
         if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        prow = a[col]
+            rows[col], rows[pivot_row] = rows[pivot_row], [-x for x in rows[col]]
+            scales[col], scales[pivot_row] = scales[pivot_row], scales[col]
+        prow = rows[col]
         pivot = prow[col]
-        det *= pivot
-        support = [c for c in range(col + 1, len(prow)) if prow[c]]
-        for row in a[col + 1:]:
-            if row[col]:
-                factor = row[col] / pivot
-                for c in support:
-                    row[c] -= factor * prow[c]
-    return det
+        tail = prow[col + 1:]
+        for row in rows[col + 1:]:
+            factor = row[col]
+            if factor:
+                row[col + 1:] = [
+                    (pivot * x - factor * y) // prev for x, y in zip(row[col + 1:], tail)
+                ]
+            elif pivot != prev:
+                # a zero factor still raises the row's minors by one order
+                row[col + 1:] = [pivot * x // prev for x in row[col + 1:]]
+        prev = pivot
+    return rows, scales, prev
+
+
+def _solve(a: Sequence[Sequence[Fraction]], n: int) -> list[list[Fraction]]:
+    """A^-1 B for the n rows a = [A | B]; raises SingularMatrix.
+
+    After elimination the left block is upper triangular and its last
+    pivot d is the determinant of the scaled A; d * A^-1 B is the adjugate
+    of the scaled A times the scaled B, an integer matrix, so back
+    substitution on d * B divides exactly, row by row from the bottom.
+    """
+    rows, _, det = _eliminate(a, n)
+    scaled: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        acc = [det * b for b in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [s - row[j] * t for s, t in zip(acc, scaled[j])]
+        scaled[i] = [s // row[i] for s in acc]
+    return [[Fraction(x, det) for x in xs] for xs in scaled]
 
 
 class Matrix:
@@ -304,17 +367,18 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def det(self) -> Fraction:
-        """Determinant by fraction-exact Gaussian elimination; det of the
-        empty (0 x 0) matrix is 1."""
+        """Determinant by fraction-free integer (Bareiss) elimination; det
+        of the empty (0 x 0) matrix is 1."""
         if self.rows != self.cols:
             raise NonSquareMatrix(f"determinant of a {self.rows}x{self.cols} matrix")
         try:
-            return _eliminate([list(row) for row in self.entries], self.rows)
+            _, scales, pivot = _eliminate(self.entries, self.rows)
         except SingularMatrix:
             return Fraction(0)
+        return Fraction(pivot, prod(scales))
 
     def invert(self) -> "Matrix":
-        """Inverse as the Schur complement of A in [[A, I], [-I, 0]]; raises
+        """Inverse as A^-1 I by elimination and back substitution; raises
         SingularMatrix.
 
         Labels travel with the inverse map: the result's rows carry the
@@ -323,15 +387,8 @@ class Matrix:
         if self.rows != self.cols:
             raise NonSquareMatrix(f"inverse of a {self.rows}x{self.cols} matrix")
         n = self.rows
-        eye = Matrix.identity(n).entries
-        a = [list(row) + list(e) for row, e in zip(self.entries, eye)]
-        a += [[-x for x in e] + [Fraction(0)] * n for e in eye]
-        _eliminate(a, n)
-        return Matrix(
-            [row[n:] for row in a[n:]],
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
+        a = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(self.entries)]
+        return Matrix(_solve(a, n), row_labels=self.col_labels, col_labels=self.row_labels)
 
     def schur_complement(self, keep: Iterable[int]) -> "Matrix":
         """Schur complement onto the kept positions.
@@ -351,27 +408,29 @@ class Matrix:
             return self
         d = len(dropped)
         order = dropped + kept
-        a = [[self.entries[i][j] for j in order] for i in order]
         try:
-            _eliminate(a, d)
+            rows, scales, pivot = _eliminate(
+                [[self.entries[i][j] for j in order] for i in order], d
+            )
         except SingularMatrix as exc:
             raise SingularBlock("eliminated block is singular") from exc
         return Matrix(
-            [row[d:] for row in a[d:]],
+            [
+                [Fraction(x, pivot * s) for x in row[d:]]
+                for row, s in zip(rows[d:], scales[d:])
+            ],
             row_labels=[self.row_labels[i] for i in kept] if self.row_labels else None,
             col_labels=[self.col_labels[i] for i in kept] if self.col_labels else None,
         )
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square exact linear system A x = b as the Schur complement of
-    A in [[A, b], [-I, 0]]; raises SingularMatrix if A is singular."""
+    """Solve a square exact linear system A x = b by elimination and back
+    substitution; raises SingularMatrix if A is singular."""
     n = len(rows)
     if len(rhs) != n:
         raise ValueError("right-hand side does not match the system")
     if any(len(row) != n for row in rows):
         raise ValueError("system matrix must be square")
     a = [[rat(x) for x in row] + [rat(b)] for row, b in zip(rows, rhs)]
-    a += [[-x for x in e] + [Fraction(0)] for e in Matrix.identity(n).entries]
-    _eliminate(a, n)
-    return [row[n] for row in a[n:]]
+    return [x[0] for x in _solve(a, n)]

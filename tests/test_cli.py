@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -452,6 +453,67 @@ class TestEntryPoints:
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+class TestLongExactValues:
+    """Exact values outgrow Python's int-to-str digit limit (4300 digits by
+    default) on networks the loader accepts: every command prints them in
+    full, and the loader still refuses a literal over the limit."""
+
+    @pytest.fixture
+    def circuit_file(self, tmp_path):
+        rng = random.Random(5)
+
+        def big():
+            return str(rng.randrange(10**1999, 10**2000))
+
+        data = {
+            "vertices": 4,
+            "edges": [
+                {"u": 1, "v": 2, "c": big() + "/" + big()},
+                {"u": 1, "v": 3, "c": big()},
+                {"u": 2, "v": 4, "c": "1/" + big()},
+                {"u": 3, "v": 4, "c": big() + "/7"},
+                {"u": 1, "v": 4, "c": big()},
+            ],
+            "superports": [[1, 2], [3, 4]],
+            "deltas": [{"vertex": 1, "du": "5"}, {"vertex": 3, "du": big()}],
+        }
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(data))
+        network = {k: v for k, v in data.items() if k != "deltas"}
+        (tmp_path / "net.json").write_text(json.dumps(network))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "net.json", "--theorem", "all", "--seed", "1"],
+        ["solve", "circuit.json"],
+        ["forests", "net.json", "--weights"],
+        ["response", "net.json", "--show", "Lext", "--format", "json"],
+    ])
+    def test_printed_in_full(self, capsys, circuit_file, argv):
+        argv = [str(circuit_file / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert max(len(token) for token in out.split()) > 4300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert run_cli(capsys, *argv) == (0, out, "")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    @pytest.mark.parametrize("literal", ['"' + "7" * 4301 + '"', "7" * 4301])
+    def test_literal_over_the_limit_rejected(self, capsys, tmp_path, command, literal):
+        path = tmp_path / "net.json"
+        path.write_text(
+            '{"vertices": 2, "edges": [{"u": 1, "v": 2, "c": %s}], '
+            '"superports": [[1, 2]]}' % literal
+        )
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert "4300 digits" in err
 
 
 class TestGoldenOutput:

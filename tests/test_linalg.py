@@ -22,6 +22,24 @@ def square(entries):
     return Matrix(entries)
 
 
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def permutation_expansion(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term = Fraction(1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+            if not term:
+                break
+        else:
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            total += -term if inversions % 2 else term
+    return total
+
+
 class TestRat:
     def test_integers_and_fractions(self):
         assert rat(3) == Fraction(3)
@@ -121,19 +139,7 @@ class TestDeterminant:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
     def test_det_by_permutation_expansion(self, rows):
-        m = Matrix(rows)
-        expect = Fraction(0)
-        for perm in itertools.permutations(range(3)):
-            sign = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = Fraction(1)
-            for i in range(3):
-                term *= rows[i][perm[i]]
-            expect += sign * term
-        assert m.det() == expect
+        assert Matrix(rows).det() == permutation_expansion(rows)
 
 
 class TestInverse:
@@ -270,3 +276,61 @@ class TestSolve:
         x = solve_linear_system(rows, rhs)
         for i in range(3):
             assert sum(rows[i][j] * x[j] for j in range(3)) == rhs[i]
+
+
+@st.composite
+def sparse_prime_matrices(draw, zero_pivot):
+    """Square matrices of size 3-6, mostly zeros, whose entries have large
+    numerators over distinct primes, optionally with a zero leading pivot:
+    the hazards of fraction-free elimination (row scales that differ, rows
+    with a zero factor, row swaps) in small cases."""
+    n = draw(st.integers(3, 6))
+    primes = draw(st.permutations(PRIMES))
+    transversal = draw(st.permutations(range(n)))
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in {*enumerate(transversal), *extra}:
+        numerator = draw(st.integers(-10**6, 10**6).filter(bool))
+        rows[i][j] = Fraction(numerator, primes[(i * n + j) % len(primes)])
+    if zero_pivot:
+        rows[0][0] = Fraction(0)
+    return rows
+
+
+class TestBareissHazards:
+    @pytest.mark.parametrize("zero_pivot", [False, True])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_det_inverse_schur_and_solve(self, zero_pivot, data):
+        rows = data.draw(sparse_prime_matrices(zero_pivot))
+        n = len(rows)
+        m = Matrix(rows)
+        det = m.det()
+        assert det == permutation_expansion(rows)
+        if det:
+            assert m * m.invert() == Matrix.identity(n)
+            rhs = [
+                Fraction(data.draw(st.integers(-10**6, 10**6)), p)
+                for p in data.draw(st.permutations(PRIMES))[:n]
+            ]
+            x = solve_linear_system(rows, rhs)
+            assert [sum(r * v for r, v in zip(row, x)) for row in rows] == rhs
+        else:
+            with pytest.raises(SingularMatrix):
+                m.invert()
+            with pytest.raises(SingularMatrix):
+                solve_linear_system(rows, [Fraction(1)] * n)
+
+        keep = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+        dropped = [i for i in range(n) if i not in keep]
+        if zero_pivot:
+            # the eliminated block's own leading pivot is zero as well
+            rows[dropped[0]][dropped[0]] = Fraction(0)
+            m = Matrix(rows)
+        a, b = m.submatrix(keep, keep), m.submatrix(keep, dropped)
+        c, d = m.submatrix(dropped, keep), m.submatrix(dropped, dropped)
+        if not d.det():
+            with pytest.raises(SingularBlock):
+                m.schur_complement(keep)
+            return
+        assert m.schur_complement(keep) == a - b * d.invert() * c
