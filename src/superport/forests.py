@@ -27,11 +27,11 @@ Kirchhoff or Kenyon-Wilson grouping has one component per group.  So one
 enumeration serves every identity: `ForestPass` hands each forest to the
 sums registered for its component count, and decides what several sums ask
 of a forest (validity, relative validity, signed partitions) once per
-forest.  `ForestEnsemble` holds the same forests by component count for
-callers that read them more than once.  One union-find over quotient
-classes, `quotient_components`, serves validity, forest signs and the
-combinatorial voltages; enumeration keeps component labels of its own,
-because it must undo each join.
+forest.  `ForestEnsemble` holds all the forests by component count, with
+plain weight sums, for callers that read them more than once.  One
+union-find over quotient classes, `quotient_components`, serves validity,
+forest signs and the combinatorial voltages; enumeration keeps component
+labels of its own, because it must undo each join.
 
 The sign structures (forest signs, XYZW partitions, the main cycle, and the
 sign-reversing involution on partitions) follow the definitions used by the
@@ -298,10 +298,10 @@ class ForestEnsemble:
     """All spanning forests of one network, enumerated once and held:
     `forests` in enumeration order, and the same forests by component count.
 
-    A materialized view for callers that read the forests more than once;
-    the verifiers take one bucket at a time from it, or stream one
-    enumeration instead.  Weight sums add the forests' integer units and
-    divide by the scale once.
+    A materialized view for callers that read the forests more than once,
+    with plain weight sums to compare a pass's sums against; the verifiers
+    stream their forests through a `ForestPass` instead.  Weight sums add
+    the forests' integer units and divide by the scale once.
     """
 
     def __init__(self, net: SuperportNetwork, *, cap: Optional[int] = DEFAULT_CAP):
@@ -658,13 +658,12 @@ class ForestPass:
     reads them.
 
     Sums register with `want` a taker for each component count they read;
-    `run` hands each forest to the takers of its count, from one fresh
-    enumeration or from an ensemble's buckets.  Sums add integer units (see
-    `Forest`) and `weight` divides by the scale once.  The totals several
-    identities share are kept once, on request (`share`).  What several
-    takers ask of one forest is decided once per forest: each fact keeps the
-    last forest asked about, and a forest reaches all its takers before the
-    next one comes.
+    `run` enumerates the forests once and hands each to the takers of its
+    count.  Sums add integer units (see `Forest`) and `weight` divides by
+    the scale once.  The totals several identities share are kept once, on
+    request (`share`).  What several takers ask of one forest is decided
+    once per forest: each fact keeps the last forest asked about, and a
+    forest reaches all its takers before the next one comes.
     """
 
     def __init__(self, net: SuperportNetwork):
@@ -737,18 +736,10 @@ class ForestPass:
             self._partitions = (f, [(part, partition_sign(net, f, part)) for part in parts])
         return self._partitions[1]
 
-    def run(
-        self, ensemble: Optional[ForestEnsemble] = None, cap: Optional[int] = DEFAULT_CAP
-    ) -> None:
-        """Hand every forest to the takers of its component count.  A fresh
-        enumeration refuses an over-cap network before the first forest."""
+    def run(self, cap: Optional[int] = DEFAULT_CAP) -> None:
+        """Hand every forest to the takers of its component count.  An
+        over-cap network is refused before the first forest."""
         takers = self.takers
-        if ensemble is not None:
-            for count, fns in takers.items():
-                for f in ensemble.with_components(count):
-                    for take in fns:
-                        take(f)
-            return
         forests = enumerate_spanning_forests(self.net, cap=cap)
         if takers:
             n = self.net.n

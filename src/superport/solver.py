@@ -69,10 +69,11 @@ def kirchhoff_matrix(net: SuperportNetwork) -> Matrix:
 def electrical_response(net: SuperportNetwork) -> Matrix:
     """Response of the underlying electrical network: K with the interior
     vertices eliminated.  Labeled by the boundary vertices 1..m."""
-    K = kirchhoff_matrix(net)
-    if net.n == net.m:
-        return K
-    return K.schur_complement(range(net.m))
+    return _eliminate_interior(kirchhoff_matrix(net), net.m)
+
+
+def _eliminate_interior(K: Matrix, m: int) -> Matrix:
+    return K if K.rows == m else K.schur_complement(range(m))
 
 
 def _check_canonical_superports(
@@ -181,12 +182,10 @@ class ResponseMatrices:
 
 
 def response_matrices(net: SuperportNetwork, *, extended: bool = False) -> ResponseMatrices:
+    """K, C and L of one network, K built once and C derived from it."""
     K = kirchhoff_matrix(net)
-    C = electrical_response(net)
-    if net.non_roots:
-        L = c2l(C, net.superports)
-    else:
-        L = None
+    C = _eliminate_interior(K, net.m)
+    L = c2l(C, net.superports) if net.non_roots else None
     ext = extended_response(net) if extended else None
     return ResponseMatrices(kirchhoff=K, response=C, superport_response=L, extended=ext)
 

@@ -14,10 +14,10 @@ forests valid relative to a non-root (m - p) for the entries and the
 currents; electrically valid forests (m) for Kirchhoff and every
 Kenyon-Wilson minor; pairing forests (m - 1) for Kirchhoff's entries; and
 each minor's groupings (one component per group).  `run_verifications`
-registers the sums of every requested theorem, enumerates once, and then
-lets each theorem work out its matrix side and compare.  A standalone
-verifier runs the same sums on a pass of its own, reading the forests from
-an ensemble's buckets when one is given.
+registers the sums of every requested theorem, enumerates once, builds K,
+C and L once, and then hands those matrices to each theorem to compare.  A
+standalone verifier runs the same sums on a pass of its own and builds the
+matrices of its network the same way.
 
 Identities covered:
 
@@ -49,7 +49,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .forests import (
     DEFAULT_CAP,
     Forest,
-    ForestEnsemble,
     ForestIsValid,
     ForestPass,
     check_cap,
@@ -74,8 +73,8 @@ from .network import (
 )
 from .solver import (
     NoNonRootVertices,
-    c2l,
-    electrical_response,
+    ResponseMatrices,
+    response_matrices,
     solve,
 )
 
@@ -153,19 +152,25 @@ def _report(theorem: str, failures: list, checks: int, lhs, rhs) -> Report:
 # -- the forest side: one pass, sums by component count --------------------------
 
 
-def _alone(net: SuperportNetwork, ensemble: Optional[ForestEnsemble], build, *args):
+# A report is built in two steps: `build(p, ...)` registers its forest sums
+# on the pass p and returns `finish`, which takes the network's
+# ResponseMatrices once the pass has run and makes the report.
+Finish = Callable[[ResponseMatrices], Report]
+
+
+def _alone(net: SuperportNetwork, build, *args) -> Report:
     """Register one report's sums on a pass of their own, run it, and finish
     the report."""
     p = ForestPass(net)
     finish = build(p, *args)
-    p.run(ensemble)
-    return finish()
+    p.run()
+    return finish(response_matrices(net))
 
 
 # -- Kirchhoff and Kenyon-Wilson (electrical identities) ---------------------------
 
 
-def _kirchhoff(p: ForestPass) -> Callable[[], Report]:
+def _kirchhoff(p: ForestPass) -> Finish:
     net, m = p.net, p.net.m
     if m < 2:
         raise ValueError("the identity needs at least two boundary vertices")
@@ -187,8 +192,8 @@ def _kirchhoff(p: ForestPass) -> Callable[[], Report]:
 
     p.want(m - 1, add_pair)
 
-    def report() -> Report:
-        C = electrical_response(net)
+    def report(R: ResponseMatrices) -> Report:
+        C = R.response
         H = p.total("electrical")
         failures: list = []
         checks = 0
@@ -223,9 +228,7 @@ def _kirchhoff(p: ForestPass) -> Callable[[], Report]:
     return report
 
 
-def verify_kirchhoff(
-    net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
-) -> Report:
+def verify_kirchhoff(net: SuperportNetwork) -> Report:
     """Both parts of the electrical matrix-tree identity.
 
     (1) det of the response with the last row and column dropped equals the
@@ -235,12 +238,12 @@ def verify_kirchhoff(
     same denominator.  Part 2 is evaluated in one pass over the forests with
     m - 1 components.
     """
-    return _alone(net, ensemble, _kirchhoff)
+    return _alone(net, _kirchhoff)
 
 
 def _kw_minor(
     p: ForestPass, X: Sequence[int], Y: Sequence[int], Z: Sequence[int], signed: bool = True
-) -> Callable[[], Report]:
+) -> Finish:
     net, m = p.net, p.net.m
     xs, ys, zs = tuple(X), tuple(Y), tuple(Z)
     if len(xs) != len(ys):
@@ -269,9 +272,8 @@ def _kw_minor(
 
     p.want(count, add)
 
-    def report() -> Report:
-        C = electrical_response(net)
-        lhs = C.take(xs + zs, ys + zs).det()
+    def report(R: ResponseMatrices) -> Report:
+        lhs = R.response.take(xs + zs, ys + zs).det()
         factor = -1 if (signed and k % 2 == 1) else 1
         rhs = factor * p.weight(total, count) / p.total("electrical")
         failures: list = []
@@ -301,7 +303,6 @@ def verify_kw_minor(
     Z: Sequence[int],
     *,
     signed: bool = True,
-    ensemble: Optional[ForestEnsemble] = None,
 ) -> Report:
     """The all-minors identity for the electrical response.
 
@@ -313,7 +314,7 @@ def verify_kw_minor(
     With signed=False the leading factor is dropped; the identity is then
     expected to break for odd |X|.
     """
-    return _alone(net, ensemble, _kw_minor, X, Y, Z, signed)
+    return _alone(net, _kw_minor, X, Y, Z, signed)
 
 
 # -- superport response identities ---------------------------------------------
@@ -324,7 +325,7 @@ def _need_non_roots(net: SuperportNetwork) -> None:
         raise NoNonRootVertices("every boundary vertex is a root")
 
 
-def _entries(p: ForestPass) -> Callable[[], Report]:
+def _entries(p: ForestPass) -> Finish:
     net = p.net
     _need_non_roots(net)
     p.share("valid")
@@ -342,8 +343,8 @@ def _entries(p: ForestPass) -> Callable[[], Report]:
 
     p.want(count, add)
 
-    def report() -> Report:
-        L = c2l(electrical_response(net), net.superports)
+    def report(R: ResponseMatrices) -> Report:
+        L = R.superport_response
         D = p.total("valid")
         failures: list = []
         for (i, j), total in num.items():
@@ -361,22 +362,20 @@ def _entries(p: ForestPass) -> Callable[[], Report]:
     return report
 
 
-def verify_L_entries(
-    net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
-) -> Report:
+def verify_L_entries(net: SuperportNetwork) -> Report:
     """Every entry of the superport response as a signed forest sum: L_i^j
     sums forest_sign(G, i, j) * w(G) over forests valid relative to both i
     and j, over the valid-forest weight sum."""
-    return _alone(net, ensemble, _entries)
+    return _alone(net, _entries)
 
 
-def _det_L(p: ForestPass) -> Callable[[], Report]:
+def _det_L(p: ForestPass) -> Finish:
     net = p.net
     _need_non_roots(net)
     p.share("trees", "valid")
 
-    def report() -> Report:
-        lhs = c2l(electrical_response(net), net.superports).det()
+    def report(R: ResponseMatrices) -> Report:
+        lhs = R.superport_response.det()
         rhs = p.total("trees") / p.total("valid")
         failures: list = []
         if lhs != rhs:
@@ -386,17 +385,13 @@ def _det_L(p: ForestPass) -> Callable[[], Report]:
     return report
 
 
-def verify_det_L(
-    net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
-) -> Report:
+def verify_det_L(net: SuperportNetwork) -> Report:
     """det L as the ratio of the spanning-tree weight sum to the valid
     forest weight sum."""
-    return _alone(net, ensemble, _det_L)
+    return _alone(net, _det_L)
 
 
-def verify_valid_minor_sum(
-    net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
-) -> Report:
+def verify_valid_minor_sum(net: SuperportNetwork) -> Report:
     """The valid-minor sum identity, in cross-multiplied form:
 
         (sum over valid I, J of det C_I^J) * det L = det of reduced C,
@@ -405,8 +400,11 @@ def verify_valid_minor_sum(
     single superport the sum is the empty 0x0 minor, i.e. 1.
     """
     _need_non_roots(net)
-    C = electrical_response(net)
-    L = c2l(C, net.superports)
+    return _valid_minor_sum(net, response_matrices(net))
+
+
+def _valid_minor_sum(net: SuperportNetwork, R: ResponseMatrices) -> Report:
+    C, L = R.response, R.superport_response
     m = net.m
     det_reduced = C.submatrix(range(m - 1), range(m - 1)).det()
     choices = [list(sp) for sp in net.superports[:-1]]
@@ -427,7 +425,7 @@ def verify_valid_minor_sum(
     )
 
 
-def _signed_sum(p: ForestPass) -> Callable[[], Report]:
+def _signed_sum(p: ForestPass) -> Finish:
     net = p.net
     p.share("valid")
     total = 0
@@ -439,7 +437,7 @@ def _signed_sum(p: ForestPass) -> Callable[[], Report]:
 
     p.want(net.m - net.p + 1, add)
 
-    def report() -> Report:
+    def report(R: ResponseMatrices) -> Report:
         lhs = p.weight(total, net.m - net.p + 1)
         rhs = p.total("valid")
         failures: list = []
@@ -450,15 +448,13 @@ def _signed_sum(p: ForestPass) -> Callable[[], Report]:
     return report
 
 
-def verify_signed_sum(
-    net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
-) -> Report:
+def verify_signed_sum(net: SuperportNetwork) -> Report:
     """The signed partition sum over all forests and XYZW colorings equals
     the plain valid-forest weight sum."""
-    return _alone(net, ensemble, _signed_sum)
+    return _alone(net, _signed_sum)
 
 
-def _cancellation(p: ForestPass) -> Callable[[], Report]:
+def _cancellation(p: ForestPass) -> Finish:
     net = p.net
     failures: list = []
     checks = 0
@@ -515,14 +511,12 @@ def _cancellation(p: ForestPass) -> Callable[[], Report]:
                 return
 
     p.want(net.m - net.p + 1, add)
-    return lambda: _report(
+    return lambda R: _report(
         "partition-cancellation", failures, checks, f"{checks} forests", "structure holds"
     )
 
 
-def verify_cancellation(
-    net: SuperportNetwork, *, ensemble: Optional[ForestEnsemble] = None
-) -> Report:
+def verify_cancellation(net: SuperportNetwork) -> Report:
     """Per-forest structure behind the signed sum.
 
     A valid forest must carry exactly one partition, with empty X and Y and
@@ -532,7 +526,7 @@ def verify_cancellation(
     over the forest's partitions is zero.  The main cycle that drives f is
     found once per forest.
     """
-    return _alone(net, ensemble, _cancellation)
+    return _alone(net, _cancellation)
 
 
 # -- combinatorial solution and gluing ----------------------------------------------
@@ -600,9 +594,7 @@ def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
     return solution
 
 
-def combinatorial_solution(
-    circuit: Circuit, *, ensemble: Optional[ForestEnsemble] = None
-) -> Solution:
+def combinatorial_solution(circuit: Circuit) -> Solution:
     """Voltages and currents from the forest formulas, bypassing the linear
     solver entirely.
 
@@ -613,13 +605,16 @@ def combinatorial_solution(
     edge, minus the reverse traversals.  Voltages are normalized to vanish
     at the last boundary vertex, like the solver's.
     """
-    return _alone(circuit.network, ensemble, _solution, circuit)
+    p = ForestPass(circuit.network)
+    solution = _solution(p, circuit)
+    p.run()
+    return solution()
 
 
-def _forest_solution(p: ForestPass, circuit: Circuit) -> Callable[[], Report]:
+def _forest_solution(p: ForestPass, circuit: Circuit) -> Finish:
     solution = _solution(p, circuit)
 
-    def report() -> Report:
+    def report(R: ResponseMatrices) -> Report:
         failures: list = []
         if solve(circuit) != solution():
             failures.append(
@@ -668,7 +663,7 @@ def _glued_circuit(circuit: Circuit, i: int):
     br = labels[qg.class_of[net.root_of[i]]]
     raw = {
         "vertices": len(qg.classes),
-        "edges": [{"u": a, "v": b, "c": rat_str(c)} for (a, b), c in sorted(acc.items())],
+        "edges": [{"u": a, "v": b, "c": c} for (a, b), c in sorted(acc.items())],
         "superports": [[bi, br]],
     }
     quot_net, mapping = validate_and_canonicalize(raw)
@@ -887,8 +882,8 @@ def verify_box_h(a, b, c, d) -> Report:
     out = box_h(a, b, c, d)
     box = box_network(a, b, c, d)
     h = h_network(out["A"], out["B"], out["C"], out["D"], out["E"])
-    L_box = c2l(electrical_response(box), box.superports)
-    L_h = c2l(electrical_response(h), h.superports)
+    L_box = response_matrices(box).superport_response
+    L_h = response_matrices(h).superport_response
     failures: list = []
     if L_box != L_h:
         failures.append(
@@ -984,7 +979,7 @@ def random_xyzw(
 # -- registry -----------------------------------------------------------------------
 
 
-def _plan_kw(p: ForestPass, rng: Optional[random.Random]) -> list[Callable[[], Report]]:
+def _plan_kw(p: ForestPass, rng: Optional[random.Random]) -> list[Finish]:
     m = p.net.m
     minors = [((1,), (2,), ())] if m >= 2 else []
     minors.append(((), (), tuple(range(1, m))))
@@ -993,13 +988,16 @@ def _plan_kw(p: ForestPass, rng: Optional[random.Random]) -> list[Callable[[], R
     return [_kw_minor(p, X, Y, Z) for X, Y, Z in minors]
 
 
-def _plan_solution(p: ForestPass, rng: Optional[random.Random]) -> list[Callable[[], Report]]:
+def _plan_solution(p: ForestPass, rng: Optional[random.Random]) -> list[Finish]:
     circuit = random_circuit(rng if rng is not None else random.Random(0), p.net)
     return [_forest_solution(p, circuit)]
 
 
-def _plan_gluing(p: ForestPass, rng: Optional[random.Random]) -> list[Callable[[], Report]]:
-    return [functools.partial(verify_gluing, unit_circuit(p.net, i), i) for i in p.net.non_roots]
+def _plan_gluing(p: ForestPass, rng: Optional[random.Random]) -> list[Finish]:
+    return [
+        lambda R, circuit=unit_circuit(p.net, i), i=i: verify_gluing(circuit, i)
+        for i in p.net.non_roots
+    ]
 
 
 # theorem -> registers the forest sums of its reports on the pass and returns
@@ -1012,7 +1010,7 @@ _PLANS = {
     "entries": lambda p, rng: [_entries(p)] if p.net.non_roots else [],
     "detl": lambda p, rng: [_det_L(p)] if p.net.non_roots else [],
     "minorsum": lambda p, rng: (
-        [functools.partial(verify_valid_minor_sum, p.net)] if p.net.non_roots else []
+        [functools.partial(_valid_minor_sum, p.net)] if p.net.non_roots else []
     ),
     "signedsum": lambda p, rng: [_signed_sum(p), _cancellation(p)],
     "gluing": _plan_gluing,
@@ -1020,13 +1018,14 @@ _PLANS = {
 }
 
 
-def _finish(steps: list[Callable[[], Report]]) -> list[Report]:
-    return [step() for step in steps]
+def _finish(steps: list[Finish], R: ResponseMatrices) -> list[Report]:
+    return [step(R) for step in steps]
 
 
-# theorem -> makes its reports once the pass has run: the matrix side and the
-# comparisons.  Every entry is the same function; one entry per theorem lets
-# a caller wrap, and so time, each theorem on its own.
+# theorem -> makes its reports once the pass has run, from the network's K, C
+# and L: the matrix side and the comparisons.  Every entry is the same
+# function; one entry per theorem lets a caller wrap, and so time, each
+# theorem on its own.
 THEOREMS = dict.fromkeys(_PLANS, _finish)
 
 
@@ -1040,10 +1039,11 @@ def run_verifications(
     """Run the named identity checks on one network in a single forest pass.
 
     Each theorem first registers the sums its reports need; one enumeration
-    then hands every forest to the sums that want its component count; last,
-    each theorem's THEOREMS entry makes its reports.  Checks whose
-    preconditions the network does not meet are skipped (a network with
-    all-root boundary has no response to verify).
+    then hands every forest to the sums that want its component count; K, C
+    and L are built once; last, each theorem's THEOREMS entry makes its
+    reports from them.  Checks whose preconditions the network does not meet
+    are skipped (a network with all-root boundary has no response to
+    verify).
     """
     names = list(theorems)
     if "all" in names:
@@ -1054,7 +1054,8 @@ def run_verifications(
     p = ForestPass(net)
     plans = [(name, _PLANS[name](p, rng)) for name in names]
     p.run(cap=cap)
+    matrices = response_matrices(net)
     reports: list[Report] = []
     for name, steps in plans:
-        reports.extend(THEOREMS[name](steps))
+        reports.extend(THEOREMS[name](steps, matrices))
     return reports

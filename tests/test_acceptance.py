@@ -60,15 +60,12 @@ def announce(number, label, failures):
 @pytest.fixture(scope="module")
 def campaign():
     # shared by criteria 6, 7 and 10: 200 random superport networks with
-    # n <= 8, p <= 3, at most 14 edges, each with its forest ensemble
+    # n <= 8, p <= 3, at most 14 edges
     rng = random.Random(2024)
-    nets = []
-    for _ in range(200):
-        net = random_network(
-            rng, max_n=8, max_edges=14, p_max=3, require_nonroots=True
-        )
-        nets.append((net, ForestEnsemble(net)))
-    return nets
+    return [
+        random_network(rng, max_n=8, max_edges=14, p_max=3, require_nonroots=True)
+        for _ in range(200)
+    ]
 
 
 def test_criterion_1_w_network_closed_form():
@@ -194,8 +191,8 @@ def test_criterion_5_all_minors_sign():
 
 def test_criterion_6_determinant_identity_at_scale(campaign):
     failures = []
-    for k, (net, ensemble) in enumerate(campaign):
-        report = verify_det_L(net, ensemble=ensemble)
+    for k, net in enumerate(campaign):
+        report = verify_det_L(net)
         if not report.ok:
             failures.append((k, report.witness))
     announce(6, "determinant identity at scale", failures)
@@ -203,8 +200,8 @@ def test_criterion_6_determinant_identity_at_scale(campaign):
 
 def test_criterion_7_cancellation_machinery(campaign):
     failures = []
-    for k, (net, ensemble) in enumerate(campaign):
-        report = verify_cancellation(net, ensemble=ensemble)
+    for k, net in enumerate(campaign):
+        report = verify_cancellation(net)
         if not report.ok:
             failures.append((k, report.witness))
     announce(7, "cancellation machinery", failures)
@@ -280,8 +277,7 @@ def test_criterion_9_solver_consistency():
 def test_criterion_10_route_equivalence(campaign):
     failures = []
     fixture_nets = [load_network(fixture_path(name)) for name in FIXTURE_NAMES]
-    campaign_nets = [net for net, _ in campaign]
-    for net in fixture_nets + campaign_nets:
+    for net in fixture_nets + campaign:
         direct = response_from_K(kirchhoff_matrix(net), net.superports)
         composed = c2l(electrical_response(net), net.superports)
         if direct != composed:

@@ -31,6 +31,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_without_digit_limit(capsys, *argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def write_network(tmp_path, net, name="net.json"):
     path = tmp_path / name
     path.write_text(dumps_network(net))
@@ -496,12 +505,31 @@ class TestLongExactValues:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert max(len(token) for token in out.split()) > 4300
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            assert run_cli(capsys, *argv) == (0, out, "")
-        finally:
-            sys.set_int_max_str_digits(limit)
+        assert run_cli_without_digit_limit(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("theorem", ["gluing", "all"])
+    def test_glued_conductance_over_the_limit(self, capsys, tmp_path, theorem):
+        # gluing at any non-root merges the edges from the other three
+        # boundary vertices to 5 into one, whose summed conductance has more
+        # than 4300 digits
+        rng = random.Random(3)
+
+        def big():
+            return str(rng.randrange(10**1499, 10**1500))
+
+        data = {
+            "vertices": 5,
+            "edges": [{"u": 1, "v": 5, "c": "1"}]
+            + [{"u": u, "v": 5, "c": big() + "/" + big()} for u in (2, 3, 4)],
+            "superports": [[1, 2, 3, 4]],
+        }
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        argv = ["verify", str(path), "--theorem", theorem]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.count("gluing: pass") == 3
+        assert run_cli_without_digit_limit(capsys, *argv) == (0, out, "")
 
     @pytest.mark.parametrize("command", ["validate", "verify"])
     @pytest.mark.parametrize("literal", ['"' + "7" * 4301 + '"', "7" * 4301])

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in it or re-exported
-through its `__all__`; a package `__init__` re-exports what it imports."""
+through its `__all__`; a package `__init__` re-exports what it imports.
+Every parameter of a public function or method is read by its body."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,55 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(source, False) == ["Iterable (line 1)"]
     assert unused_imports("import os.path\nos.sep\n", False) == []
     assert unused_imports("from a import b\n__all__ = ['b']\n", False) == []
+
+
+def _is_public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Each parameter of a public module-level function, or of a public
+    method of a public class, that the body never reads, as
+    "function(parameter)"."""
+    tree = ast.parse(source)
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and _is_public(node.name):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and _is_public(node.name):
+            functions.extend(
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and _is_public(item.name)
+            )
+    unread = []
+    for name, fn in functions:
+        read = {
+            node.id
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        unread.extend(
+            f"{name}({param.arg})" for param in params if param and param.arg not in read
+        )
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_scan_flags_an_unread_parameter():
+    source = (
+        "def f(a, *, b=None):\n    return a\n"
+        "def _g(a):\n    pass\n"
+        "class C:\n"
+        "    def m(self, x):\n        return self\n"
+        "    def _h(self, y):\n        return self\n"
+        "def k(a):\n    return lambda: a\n"
+    )
+    assert unread_parameters(source) == ["f(b)", "C.m(x)"]

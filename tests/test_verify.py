@@ -22,6 +22,7 @@ from superport import (
     partitions_for_forest,
     random_circuit,
     random_network,
+    response_matrices,
     run_verifications,
     solve,
     unify_superports,
@@ -79,7 +80,7 @@ class TestKirchhoff:
                 for j in range(i + 1, m + 1):
                     groups = [(i, j)] + [(v,) for v in range(1, m + 1) if v not in (i, j)]
                     assert C.entry(i, j) == -ens.grouped_weight(groups) / H
-            assert verify_kirchhoff(net, ensemble=ens).ok
+            assert verify_kirchhoff(net).ok
 
     def test_requires_two_boundary_vertices(self):
         net = canonical_network([(1, 2, 1)], [[1]])
@@ -163,9 +164,8 @@ class TestResponseTheorems:
         rng = random.Random(19)
         for _ in range(10):
             net = random_network(rng, require_nonroots=True)
-            ens = ForestEnsemble(net)
-            assert verify_signed_sum(net, ensemble=ens).ok
-            assert verify_cancellation(net, ensemble=ens).ok
+            assert verify_signed_sum(net).ok
+            assert verify_cancellation(net).ok
 
     def test_cancellation_signs_each_partition_once(self, monkeypatch):
         # the side square's forest {b} carries four partitions that cancel
@@ -179,7 +179,7 @@ class TestResponseTheorems:
             return partition_sign(net, forest, part)
 
         monkeypatch.setattr("superport.forests.partition_sign", counting_sign)
-        assert verify_cancellation(net, ensemble=ens).ok
+        assert verify_cancellation(net).ok
         assert len(signed) == partitions
 
 
@@ -309,6 +309,33 @@ class TestRunner:
         a = [r.to_data() for r in run_verifications(net, ["kw"], rng=random.Random(5))]
         b = [r.to_data() for r in run_verifications(net, ["kw"], rng=random.Random(5))]
         assert a == b
+
+    def test_scaling_every_conductance(self):
+        # multiplying every conductance by t multiplies C and L by t and
+        # det L by t^(m-p), and every identity still holds with the same
+        # checks
+        t = Fraction(7, 11)
+        rng = random.Random(41)
+        for _ in range(10):
+            net = random_network(rng, require_nonroots=True)
+            scaled = canonical_network(
+                [(u, v, c * t) for u, v, c in net.edges],
+                [list(sp) for sp in net.superports],
+            )
+            base, times_t = response_matrices(net), response_matrices(scaled)
+            assert times_t.response == t * base.response
+            L, L_t = base.superport_response, times_t.superport_response
+            assert L_t == t * L
+            assert L_t.det() == t ** (net.m - net.p) * L.det()
+            seed = rng.randrange(2**32)
+            reports = [
+                [(r.theorem, r.status, r.checks) for r in run_verifications(
+                    candidate, ["all"], rng=random.Random(seed)
+                )]
+                for candidate in (net, scaled)
+            ]
+            assert reports[0] == reports[1]
+            assert all(status == "pass" for _, status, _ in reports[0])
 
 
 class TestRandomNetwork:
