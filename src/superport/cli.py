@@ -4,6 +4,11 @@ Subcommands: validate, solve, response, forests, verify, count, boxh.
 Output is machine-readable JSON (--format json, the default for structured
 results is text) and every command exits 0 on success, 1 on a failed
 verification (after printing the witness), 2 on a usage or input error.
+
+`forests` streams one line per forest, one write each, in enumeration
+order: the edge indices and, with --weights, the weight, reduced on
+integers from the forest's units over a power of the conductance scale
+and printed as `rat_str` would print it.
 """
 
 from __future__ import annotations
@@ -13,16 +18,18 @@ import json
 import os
 import random
 import sys
+from math import gcd
 from typing import Optional, Sequence
 
 from .forests import (
     DEFAULT_CAP,
     CapExceeded,
+    conductance_scale,
     enumerate_spanning_forests,
     is_relatively_valid,
     is_valid,
 )
-from .linalg import LinAlgError, Matrix, rat, rat_str
+from .linalg import LinAlgError, Matrix, rat, rat_str, ratio_str
 from .network import (
     NetworkError,
     SchemaError,
@@ -126,7 +133,14 @@ def cmd_forests(args: argparse.Namespace) -> int:
     net = load_network(args.network, merge_parallel=args.merge_parallel)
     kind = args.kind
     if kind.startswith("relative:"):
-        i = int(kind.split(":", 1)[1])
+        try:
+            i = int(kind.split(":", 1)[1])
+        except ValueError:
+            print(
+                f"kind {kind!r} needs an integer boundary vertex, as in relative:1",
+                file=sys.stderr,
+            )
+            return 2
         if not net.is_boundary(i):
             print(f"vertex {i} is not a boundary vertex", file=sys.stderr)
             return 2
@@ -140,11 +154,18 @@ def cmd_forests(args: argparse.Namespace) -> int:
     else:
         print(f"unknown kind {kind!r}", file=sys.stderr)
         return 2
-    for f in enumerate_spanning_forests(net, keep, cap=args.cap):
-        line = " ".join(str(e) for e in f.edges)
+    forests = enumerate_spanning_forests(net, keep, cap=args.cap)
+    # a forest with k edges weighs units / D**k, reduced here on integers
+    names = [str(e) for e in range(len(net.edges))]
+    powers = [conductance_scale(net) ** k for k in range(net.n)]  # at most n - 1 edges
+    write = sys.stdout.write
+    for f in forests:
+        line = " ".join([names[e] for e in f.edges])
         if args.weights:
-            line += "\t" + rat_str(f.weight)
-        print(line)
+            power = powers[len(f.edges)]
+            g = gcd(f.units, power)
+            line += "\t" + ratio_str(f.units // g, power // g)
+        write(line + "\n")
     return 0
 
 

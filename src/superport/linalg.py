@@ -33,6 +33,7 @@ __all__ = [
     "SingularMatrix",
     "rat",
     "rat_str",
+    "ratio_str",
     "solve_linear_system",
 ]
 
@@ -73,19 +74,29 @@ def rat(value: object) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Serialize a Fraction as "p/q", or as "p" when the denominator is 1.
+    """Serialize a Fraction as "p/q", or as "p" when the denominator is 1,
+    in full (see `ratio_str`)."""
+    return ratio_str(value.numerator, value.denominator)
+
+
+def ratio_str(numerator: int, denominator: int) -> str:
+    """Serialize the coprime pair numerator/denominator, denominator > 0, as
+    "p/q", or as "p" when the denominator is 1: what str() gives the Fraction
+    they stand for, without building it.
 
     Always in full: str() refuses an int of more digits than
     sys.get_int_max_str_digits(), and exact results grow past that (4300 by
     default) on inputs the loader accepts.
     """
     try:
-        return str(value)
+        if denominator == 1:
+            return str(numerator)
+        return f"{numerator}/{denominator}"
     except ValueError:
-        text = _decimal(abs(value.numerator))
-        if value.denominator != 1:
-            text += "/" + _decimal(value.denominator)
-        return "-" + text if value < 0 else text
+        text = _decimal(abs(numerator))
+        if denominator != 1:
+            text += "/" + _decimal(denominator)
+        return "-" + text if numerator < 0 else text
 
 
 _PIECE = 10 ** 600  # fewer digits than the lowest limit Python allows, 640

@@ -15,9 +15,9 @@ currents; electrically valid forests (m) for Kirchhoff and every
 Kenyon-Wilson minor; pairing forests (m - 1) for Kirchhoff's entries; and
 each minor's groupings (one component per group).  `run_verifications`
 registers the sums of every requested theorem, enumerates once, builds K,
-C and L once, and then hands those matrices to each theorem to compare.  A
-standalone verifier runs the same sums on a pass of its own and builds the
-matrices of its network the same way.
+C and L once if any of them reads those, and then hands the matrices to
+each theorem to compare.  A standalone verifier runs the same sums on a pass
+of its own and builds the matrices of its network the same way.
 
 Identities covered:
 
@@ -154,8 +154,9 @@ def _report(theorem: str, failures: list, checks: int, lhs, rhs) -> Report:
 
 # A report is built in two steps: `build(p, ...)` registers its forest sums
 # on the pass p and returns `finish`, which takes the network's
-# ResponseMatrices once the pass has run and makes the report.
-Finish = Callable[[ResponseMatrices], Report]
+# ResponseMatrices once the pass has run and makes the report.  Outside
+# `_READS_MATRICES` a finish step reads no matrix and is handed None.
+Finish = Callable[[Optional[ResponseMatrices]], Report]
 
 
 def _alone(net: SuperportNetwork, build, *args) -> Report:
@@ -993,7 +994,7 @@ def _plan_solution(p: ForestPass, rng: Optional[random.Random]) -> list[Finish]:
     return [_forest_solution(p, circuit)]
 
 
-def _plan_gluing(p: ForestPass, rng: Optional[random.Random]) -> list[Finish]:
+def _plan_gluing(p: ForestPass) -> list[Finish]:
     return [
         lambda R, circuit=unit_circuit(p.net, i), i=i: verify_gluing(circuit, i)
         for i in p.net.non_roots
@@ -1013,12 +1014,17 @@ _PLANS = {
         [functools.partial(_valid_minor_sum, p.net)] if p.net.non_roots else []
     ),
     "signedsum": lambda p, rng: [_signed_sum(p), _cancellation(p)],
-    "gluing": _plan_gluing,
+    "gluing": lambda p, rng: _plan_gluing(p),
     "solution": _plan_solution,
 }
 
 
-def _finish(steps: list[Finish], R: ResponseMatrices) -> list[Report]:
+# the theorems whose finish steps read K, C or L; the others (signed sum and
+# cancellation, gluing, forest solution) are finished without them
+_READS_MATRICES = frozenset({"kirchhoff", "kw", "entries", "detl", "minorsum"})
+
+
+def _finish(steps: list[Finish], R: Optional[ResponseMatrices]) -> list[Report]:
     return [step(R) for step in steps]
 
 
@@ -1040,10 +1046,10 @@ def run_verifications(
 
     Each theorem first registers the sums its reports need; one enumeration
     then hands every forest to the sums that want its component count; K, C
-    and L are built once; last, each theorem's THEOREMS entry makes its
-    reports from them.  Checks whose preconditions the network does not meet
-    are skipped (a network with all-root boundary has no response to
-    verify).
+    and L are built once, if a theorem with reports reads them; last, each
+    theorem's THEOREMS entry makes its reports.  Checks whose preconditions
+    the network does not meet are skipped (a network with all-root boundary
+    has no response to verify).
     """
     names = list(theorems)
     if "all" in names:
@@ -1054,7 +1060,8 @@ def run_verifications(
     p = ForestPass(net)
     plans = [(name, _PLANS[name](p, rng)) for name in names]
     p.run(cap=cap)
-    matrices = response_matrices(net)
+    reads = any(steps for name, steps in plans if name in _READS_MATRICES)
+    matrices = response_matrices(net) if reads else None
     reports: list[Report] = []
     for name, steps in plans:
         reports.extend(THEOREMS[name](steps, matrices))

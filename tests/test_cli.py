@@ -3,10 +3,15 @@ import json
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superport import (
     Report,
@@ -15,10 +20,16 @@ from superport import (
     dumps_circuit,
     dumps_network,
     electrical_response,
+    enumerate_spanning_forests,
+    is_relatively_valid,
+    is_valid,
+    kirchhoff_matrix,
     load_network,
     loads_network,
     make_circuit,
+    random_network,
     rat,
+    rat_str,
 )
 from superport.cli import _emit_reports, main
 
@@ -214,6 +225,57 @@ class TestForests:
         code, _, err = run_cli(capsys, "forests", path, "--kind", "relative:3")
         assert code == 2
         assert "not a boundary vertex" in err
+
+    @pytest.mark.parametrize("kind", ["relative:", "relative:x", "relative:1.5"])
+    def test_relative_needs_an_integer(self, capsys, tmp_path, kind):
+        code, out, err = run_cli(capsys, "forests", self.triangle(tmp_path), "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err == f"kind {kind!r} needs an integer boundary vertex, as in relative:1\n"
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from([1, 10]))
+    @example(seed=0, value_max=1)  # unit conductances: every weight is 1
+    def test_lines_match_the_forests(self, seed, value_max):
+        """Every kind, with and without weights, prints one line per forest
+        in enumeration order, as formatted from the Forest itself; the tree
+        weights sum to det of the reduced Kirchhoff matrix."""
+        net = random_network(random.Random(seed), max_n=6, max_edges=10, value_max=value_max)
+        keeps = {
+            "all": None,
+            "trees": lambda f: f.component_count == 1,
+            "valid": lambda f: is_valid(f, net),
+            **{
+                f"relative:{i}": lambda f, i=i: is_relatively_valid(f, net, i)
+                for i in net.boundary
+            },
+        }
+        K = kirchhoff_matrix(net)
+        tree_sum = K.submatrix(range(net.n - 1), range(net.n - 1)).det()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_network(Path(tmp), net)
+            for kind, keep in keeps.items():
+                forests = list(enumerate_spanning_forests(net, keep))
+                edges = [" ".join(map(str, f.edges)) for f in forests]
+                for weights in ([], ["--weights"]):
+                    out = StringIO()
+                    with redirect_stdout(out):
+                        code = main(["forests", path, "--kind", kind, *weights])
+                    assert code == 0
+                    expected = (
+                        [e + "\t" + rat_str(f.weight) for e, f in zip(edges, forests)]
+                        if weights
+                        else edges
+                    )
+                    printed = out.getvalue()
+                    assert printed == "".join(line + "\n" for line in expected)
+                    if not weights:
+                        continue
+                    columns = [line.split("\t") for line in printed.splitlines()]
+                    if kind in ("all", "trees"):
+                        trees = [w for e, w in columns if len(e.split()) == net.n - 1]
+                        assert sum(map(Fraction, trees)) == tree_sum
+                    if value_max == 1:
+                        assert all(w == "1" for _, w in columns)
 
     def test_unknown_kind(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -2,7 +2,8 @@
 
 The shared pass must report exactly what the standalone verifiers report,
 each on a pass of its own, and it must enumerate the forests once and build
-the response matrices once."""
+the response matrices at most once, and only when a requested theorem reads
+them."""
 
 import random
 import sys
@@ -152,6 +153,21 @@ def test_run_verifications_builds_the_response_once(monkeypatch):
     reports = run_verifications(w_network(2, 3, 5, 7), ["all"], rng=random.Random(0))
     assert reports and all(r.ok for r in reports)
     assert (len(kirchhoff_calls), len(c2l_calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("theorems, builds", [
+    ("signedsum", 0),
+    ("solution", 0),
+    ("signedsum gluing solution", 0),
+    ("signedsum detl", 1),
+    ("all", 1),
+])
+def test_response_is_built_only_when_read(monkeypatch, theorems, builds):
+    c2l_calls = count_calls(monkeypatch, c2l)
+    net = w_network(2, 3, 5, 7)
+    reports = run_verifications(net, theorems.split(), rng=random.Random(0))
+    assert reports and all(r.ok for r in reports)
+    assert len(c2l_calls) == builds
 
 
 def test_response_matrices_builds_K_once(monkeypatch):

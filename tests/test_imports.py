@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in it or re-exported
 through its `__all__`; a package `__init__` re-exports what it imports.
-Every parameter of a public function or method is read by its body."""
+Every parameter of a module-level function, or of a public method, is read
+by its body."""
 
 import ast
 from pathlib import Path
@@ -53,13 +54,13 @@ def _is_public(name: str) -> bool:
 
 
 def unread_parameters(source: str) -> list[str]:
-    """Each parameter of a public module-level function, or of a public
-    method of a public class, that the body never reads, as
+    """Each parameter of a module-level function, public or private, or of a
+    public method of a public class, that the body never reads, as
     "function(parameter)"."""
     tree = ast.parse(source)
     functions = []
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and _is_public(node.name):
+        if isinstance(node, ast.FunctionDef):
             functions.append((node.name, node))
         elif isinstance(node, ast.ClassDef) and _is_public(node.name):
             functions.extend(
@@ -97,4 +98,4 @@ def test_scan_flags_an_unread_parameter():
         "    def _h(self, y):\n        return self\n"
         "def k(a):\n    return lambda: a\n"
     )
-    assert unread_parameters(source) == ["f(b)", "C.m(x)"]
+    assert unread_parameters(source) == ["f(b)", "_g(a)", "C.m(x)"]
