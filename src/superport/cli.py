@@ -327,6 +327,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # a path that names a directory, or one the process may not read
+        if exc.filename is None:
+            raise
+        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except json.JSONDecodeError as exc:
         print(f"invalid JSON: {exc}", file=sys.stderr)
         return 2

@@ -23,15 +23,26 @@ superports: trees have 1 component; valid forests and the forests carrying
 XYZW partitions have m - p + 1; forests valid relative to a non-root have
 m - p; electrically valid forests, one boundary vertex per component, have
 m; forests whose quotient with k classes is a tree have n - k + 1; a
-Kirchhoff or Kenyon-Wilson grouping has one component per group.  So one
-enumeration serves every identity: `ForestPass` hands each forest to the
-sums registered for its component count, and decides what several sums ask
-of a forest (validity, relative validity, signed partitions) once per
-forest.  `ForestEnsemble` holds all the forests by component count, with
-plain weight sums, for callers that read them more than once.  One
-union-find over quotient classes, `quotient_components`, serves validity,
-forest signs and the combinatorial voltages; enumeration keeps component
-labels of its own, because it must undo each join.
+Kirchhoff or Kenyon-Wilson grouping has one component per group.  Which
+forests of a family count, and with which sign, depends only on the edge
+count, which fixes the component count, and on the boundary pattern, which
+boundary vertices share a component; the weight sums by pattern are the
+grove partition functions of Kenyon and Wilson ("Boundary partitions in
+trees and dimers", Trans. AMS 2011).  So one enumeration serves every
+identity: `ForestPass` adds each forest's units into a grove table keyed by
+(edge count, pattern), and the `pattern_*` predicates decide validity,
+relative validity, forest signs, groupings and the signed partitions once
+per key, not once per forest.  Only statements about single forests (the
+cancellation involution, the combinatorial voltages and currents) still
+take forests one by one, those whose key admits them.  The per-forest
+predicates (`quotient_is_tree`, `forest_sign`, `separates`, ...) stay as the
+reference the pattern route is tested against.  `ForestEnsemble` holds all
+the forests by component count, with plain weight sums, for callers that
+read them more than once.  One union-find over quotient classes serves
+validity, forest signs and the combinatorial voltages, from forest edges
+(`quotient_components`) or from a pattern (`pattern_components`);
+enumeration keeps component labels of its own, because it must undo each
+join.
 
 The sign structures (forest signs, XYZW partitions, the main cycle, and the
 sign-reversing involution on partitions) follow the definitions used by the
@@ -45,7 +56,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .network import QuotientGraph, SuperportNetwork
 
@@ -57,6 +68,7 @@ __all__ = [
     "ForestIsValid",
     "ForestPass",
     "MainCycle",
+    "PatternFacts",
     "XYZWPartition",
     "conductance_scale",
     "enumerate_spanning_forests",
@@ -67,6 +79,12 @@ __all__ = [
     "main_cycle",
     "partition_sign",
     "partitions_for_forest",
+    "pattern_components",
+    "pattern_is_tree",
+    "pattern_partition_sign",
+    "pattern_partitions",
+    "pattern_separates",
+    "pattern_sign",
     "permutation_parity",
     "quotient_components",
     "quotient_is_tree",
@@ -200,14 +218,37 @@ def quotient_components(qg: QuotientGraph, forest: Forest) -> tuple[list[int], b
     """Join the quotient classes at the two ends of every forest edge.
 
     Returns the least class of each class's component, and whether the image
-    is acyclic, i.e. no edge fell inside one component already.  Links
-    always point from a larger class to a smaller one, so one ascending pass
-    resolves every label.
+    is acyclic, i.e. no edge fell inside one component already.
     """
-    least = list(range(len(qg.classes)))
+    return _join(len(qg.classes), map(qg.edge_classes.__getitem__, forest.edges))
+
+
+def pattern_components(qg: QuotientGraph, pattern: Sequence[int]) -> tuple[list[int], bool]:
+    """`quotient_components` of every forest with this boundary pattern, read
+    from the pattern alone.
+
+    `pattern[v - 1]` is the least boundary vertex in the component of
+    boundary vertex v.  Joining the class of each boundary vertex with the
+    class of its component's least boundary vertex contracts each component
+    onto one of its boundary classes; contraction keeps both which boundary
+    classes are connected and whether a cycle exists.  A component without
+    boundary vertices joins nothing either way.
+    """
+    cls = qg.class_of
+    joins = ((cls[v], cls[least]) for v, least in enumerate(pattern, 1) if least != v)
+    return _join(len(qg.classes), joins)
+
+
+def _join(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], bool]:
+    """The one union-find over quotient classes: join each pair of classes.
+
+    Links always point from a larger class to a smaller one, so one
+    ascending pass resolves every label to the least class of its
+    component.
+    """
+    least = list(range(size))
     acyclic = True
-    for e in forest.edges:
-        a, b = qg.edge_classes[e]
+    for a, b in pairs:
         while least[a] != a:
             a = least[a]
         while least[b] != b:
@@ -218,7 +259,7 @@ def quotient_components(qg: QuotientGraph, forest: Forest) -> tuple[list[int], b
             least[b] = a
         else:
             least[a] = b
-    for c in range(len(least)):
+    for c in range(size):
         least[c] = least[least[c]]
     return least, acyclic
 
@@ -291,6 +332,37 @@ def separates(forest: Forest, groups: Sequence[Sequence[int]]) -> bool:
     groups share a component."""
     comps = [{forest.components[v] for v in g} for g in groups]
     # one component per group and no component shared: disjoint singletons
+    return sum(map(len, comps)) == len(set().union(*comps)) == len(groups)
+
+
+# -- the same facts from a boundary pattern ---------------------------------------
+#
+# A forest's boundary pattern is `components[1 : m + 1]`: entry v - 1 is the
+# least boundary vertex in boundary vertex v's component (boundary vertices
+# are 1..m, so a component holding one is labelled by a boundary vertex).
+# With the edge count, which fixes the component count, it decides every
+# fact below for all forests that share it.
+
+
+def pattern_is_tree(qg: QuotientGraph, edges: int, pattern: Sequence[int]) -> bool:
+    """`quotient_is_tree` for the forests with this many edges and this
+    pattern: an acyclic image with one edge fewer than classes."""
+    return edges == len(qg.classes) - 1 and pattern_components(qg, pattern)[1]
+
+
+def pattern_sign(net: SuperportNetwork, pattern: Sequence[int], i: int, j: int) -> int:
+    """`forest_sign` for the forests with this pattern."""
+    if i == j:
+        return 1
+    qg = net.quotient((i, j))
+    root = pattern_components(qg, pattern)[0]
+    return 1 if root[qg.class_of[i]] != root[qg.class_of[j]] else -1
+
+
+def pattern_separates(pattern: Sequence[int], groups: Sequence[Sequence[int]]) -> bool:
+    """`separates` for the forests with this pattern; the groups hold
+    boundary vertices."""
+    comps = [{pattern[v - 1] for v in g} for g in groups]
     return sum(map(len, comps)) == len(set().union(*comps)) == len(groups)
 
 
@@ -369,26 +441,36 @@ class XYZWPartition:
 def partitions_for_forest(
     net: SuperportNetwork, forest: Forest
 ) -> Iterator[XYZWPartition]:
-    """All XYZW partitions satisfying conditions (1)-(3) for this forest.
+    """All XYZW partitions satisfying conditions (1)-(3) for this forest:
+    `pattern_partitions` of its edge count and boundary pattern."""
+    return pattern_partitions(net, len(forest.edges), forest.components[1 : net.m + 1])
 
-    Conditions (1)-(2) fix the choices per superport, taken one superport at
-    a time; a choice is dropped as soon as it puts a second W, X or Y vertex
-    into some forest component, or W next to X or Y.  A complete choice that
-    got through satisfies (3): it places W vertices and X vertices, m - p + 1
-    in all, so with at most one of them per component and as many Y as X
-    vertices, each of the m - p + 1 components receives one W vertex or one
-    X-Y pair.  The conditions force that component count, so other forests
-    yield nothing.
+
+def pattern_partitions(
+    net: SuperportNetwork, edges: int, pattern: Sequence[int]
+) -> Iterator[XYZWPartition]:
+    """The XYZW partitions of every forest with this many edges and this
+    boundary pattern.
+
+    Conditions (1)-(3) read a forest only through which boundary vertices
+    share a component, and its component count.  Conditions (1)-(2) fix
+    the choices per superport, taken one superport at a time; a choice is
+    dropped as soon as it puts a second W, X or Y vertex into some forest
+    component, or W next to X or Y.  A complete choice that got through
+    satisfies (3): it places W vertices and X vertices, m - p + 1 in all, so
+    with at most one of them per component and as many Y as X vertices, each
+    of the m - p + 1 components receives one W vertex or one X-Y pair.  The
+    conditions force that component count, so other forests yield nothing.
     """
     m, p = net.m, net.p
-    if forest.component_count != m - p + 1:
+    if net.n - edges != m - p + 1:
         return
-    comp = forest.components
-    if len(set(comp[1 : m + 1])) != m - p + 1:
+    if len(set(pattern)) != m - p + 1:
         # a component without boundary vertices can never satisfy (3)
         return
+    comp = (0, *pattern)  # comp[v]: the component of boundary vertex v
     # what each component holds, as bits W = 1, X = 2, Y = 4
-    held = [0] * (net.n + 1)
+    held = [0] * (m + 1)
     for v in net.superports[-1]:
         if held[comp[v]]:
             return
@@ -456,7 +538,16 @@ def permutation_parity(mapping: dict[int, int]) -> int:
 
 
 def partition_sign(net: SuperportNetwork, forest: Forest, part: XYZWPartition) -> int:
-    """Sign of the forest in the minor the partition encodes.
+    """Sign of the forest in the minor the partition encodes:
+    `pattern_partition_sign` of its boundary pattern."""
+    return pattern_partition_sign(net, forest.components[1 : net.m + 1], part)
+
+
+def pattern_partition_sign(
+    net: SuperportNetwork, pattern: Sequence[int], part: XYZWPartition
+) -> int:
+    """Sign of the forests with this boundary pattern in the minor the
+    partition encodes.
 
     sigma pairs each X vertex with the Y vertex in its forest component, tau
     pairs each Y vertex with the X vertex in its superport; the sign is
@@ -465,7 +556,7 @@ def partition_sign(net: SuperportNetwork, forest: Forest, part: XYZWPartition) -
     sigma: dict[int, int] = {}
     for x in part.X:
         for y in part.Y:
-            if forest.components[y] == forest.components[x]:
+            if pattern[y - 1] == pattern[x - 1]:
                 sigma[x] = y
                 break
         else:
@@ -653,96 +744,127 @@ def involution_f(
 # -- the forest pass ---------------------------------------------------------------
 
 
+# a grove table key: (edge count, boundary pattern)
+Key = tuple[int, tuple[int, ...]]
+
+
+class PatternFacts(NamedTuple):
+    """What one table key decides for every forest that has it: validity,
+    the non-roots it is valid relative to, and its XYZW partitions, each
+    with its sign."""
+
+    valid: bool
+    relative: tuple[int, ...]
+    partitions: tuple[tuple[XYZWPartition, int], ...]
+
+
+# a statement about single forests: takes each forest whose key's facts it
+# admits, with those facts
+Taker = Callable[[Forest, PatternFacts], None]
+
+
 class ForestPass:
     """One pass over a network's spanning forests, shared by every sum that
     reads them.
 
-    Sums register with `want` a taker for each component count they read;
-    `run` enumerates the forests once and hands each to the takers of its
-    count.  Sums add integer units (see `Forest`) and `weight` divides by
-    the scale once.  The totals several identities share are kept once, on
-    request (`share`).  What several takers ask of one forest is decided
-    once per forest: each fact keeps the last forest asked about, and a
-    forest reaches all its takers before the next one comes.
+    `run` enumerates the forests once and fills the grove table: `units[key]`
+    adds the integer units (see `Forest`) of the forests with key (edge
+    count, boundary pattern).  Validity, relative validity, forest signs,
+    the signed partitions and every Kirchhoff or Kenyon-Wilson grouping
+    depend on the key alone, so the sums read the table and `facts` decides
+    each fact once per key, not once per forest; `weight` divides by the
+    scale once.  A statement about single forests registers a taker with
+    `want`, with a test of facts that is decided on each key's first
+    forest; the forests whose key passes reach the taker with the key's
+    facts.  The pass holds no reference to itself, nor do the verifiers'
+    takers, so it is freed, table and all, when its last reader lets go,
+    without waiting for the garbage collector.
     """
 
     def __init__(self, net: SuperportNetwork):
         self.net = net
         self.scale = conductance_scale(net)
-        self.takers: dict[int, list[Callable[[Forest], None]]] = {}
-        self.units: dict[str, int] = {}
-        m = net.m
-        # shared total -> (component count, which forests of that count it sums)
-        self._shared: dict[str, tuple[int, Callable[[Forest], bool]]] = {
-            "trees": (1, lambda f: True),
-            "valid": (m - net.p + 1, self.valid),
-            "electrical": (m, lambda f: len(set(f.components[1 : m + 1])) == m),
-        }
+        self.units: dict[Key, int] = {}
+        self.wanted = False
+        self.takers: list[tuple[Callable[[PatternFacts], bool], Taker]] = []
         self._quotient = net.quotient()
         self._relative_quotients = [(i, net.quotient((i,))) for i in net.non_roots]
-        self._valid: tuple = (None, False)
-        self._relative: tuple = (None, ())
-        self._partitions: tuple = (None, [])
+        self._facts: dict[Key, PatternFacts] = {}
 
-    def want(self, count: int, take: Callable[[Forest], None]) -> None:
-        self.takers.setdefault(count, []).append(take)
+    def want(
+        self,
+        keep: Optional[Callable[[PatternFacts], bool]] = None,
+        take: Optional[Taker] = None,
+    ) -> None:
+        """Ask for the table; with `take`, also hand it each forest whose
+        key's facts `keep` admits, with those facts."""
+        self.wanted = True
+        if take is not None:
+            self.takers.append((keep, take))
 
-    def share(self, *names: str) -> None:
-        """Keep the named shared totals: "trees" (1 component), "valid"
-        (m - p + 1) and "electrical", the forests with one boundary vertex
-        in each of their m components."""
-        for name in names:
-            if name not in self.units:
-                self.units[name] = 0
-                count, keep = self._shared[name]
-                self.want(count, functools.partial(self._add, name, keep))
+    def run(self, cap: Optional[int] = DEFAULT_CAP) -> None:
+        """Fill the table and hand each forest to the takers its key admits.
+        An over-cap network is refused before the first forest, and a pass
+        that nothing wants enumerates nothing."""
+        forests = enumerate_spanning_forests(self.net, cap=cap)
+        if not self.wanted:
+            return
+        m1, takers = self.net.m + 1, self.takers
+        grove: dict[Key, list] = {}  # key -> [units, the takers it admits, its facts]
+        find = grove.get
+        for f in forests:
+            key = (len(f.edges), f.components[1:m1])
+            entry = find(key)
+            if entry is None:
+                facts = self.facts(key) if takers else None
+                admitted = tuple(take for keep, take in takers if keep(facts))
+                entry = grove[key] = [0, admitted, facts]
+            entry[0] += f.units
+            for take in entry[1]:
+                take(f, entry[2])
+        self.units = {key: entry[0] for key, entry in grove.items()}
 
-    def _add(self, name: str, keep: Callable[[Forest], bool], f: Forest) -> None:
-        if keep(f):
-            self.units[name] += f.units
+    def entries(self, count: int) -> Iterator[tuple[Key, int]]:
+        """The table entries of the forests with `count` components."""
+        edges = self.net.n - count
+        return ((key, units) for key, units in self.units.items() if key[0] == edges)
 
     def weight(self, units: int, count: int) -> Fraction:
         """The weight that `units` stands for in forests with `count` components."""
         return Fraction(units, self.scale ** (self.net.n - count))
 
+    def _family(self, name: str) -> tuple[int, Callable[[Key], bool]]:
+        """A named family's component count, and which keys of that count
+        it sums: "trees" (1 component), "valid" (m - p + 1) or
+        "electrical", one boundary vertex in each of m components."""
+        m = self.net.m
+        return {
+            "trees": (1, lambda key: True),
+            "valid": (m - self.net.p + 1, lambda key: self.facts(key).valid),
+            "electrical": (m, lambda key: len(set(key[1])) == m),
+        }[name]
+
+    def tally(self, name: str) -> int:
+        """The units of a named family."""
+        count, keep = self._family(name)
+        return sum(units for key, units in self.entries(count) if keep(key))
+
     def total(self, name: str) -> Fraction:
-        return self.weight(self.units[name], self._shared[name][0])
+        return self.weight(self.tally(name), self._family(name)[0])
 
-    def _touches_boundary(self, f: Forest) -> bool:
-        """Every component holds a boundary vertex.  Validity, relative or
-        not, needs it: a component without one stays apart in the quotient."""
-        return len(set(f.components[1 : self.net.m + 1])) == f.component_count
-
-    def valid(self, f: Forest) -> bool:
-        if self._valid[0] is not f:
-            valid = self._touches_boundary(f) and quotient_is_tree(self._quotient, f)
-            self._valid = (f, valid)
-        return self._valid[1]
-
-    def relative(self, f: Forest) -> tuple[int, ...]:
-        """The non-roots i such that f is valid relative to i."""
-        if self._relative[0] is not f:
-            rel = ()
-            if self._touches_boundary(f):
-                rel = tuple(i for i, qg in self._relative_quotients if quotient_is_tree(qg, f))
-            self._relative = (f, rel)
-        return self._relative[1]
-
-    def signed_partitions(self, f: Forest) -> list[tuple[XYZWPartition, int]]:
-        """The forest's XYZW partitions, each with its sign."""
-        if self._partitions[0] is not f:
-            net = self.net
-            parts = partitions_for_forest(net, f)
-            self._partitions = (f, [(part, partition_sign(net, f, part)) for part in parts])
-        return self._partitions[1]
-
-    def run(self, cap: Optional[int] = DEFAULT_CAP) -> None:
-        """Hand every forest to the takers of its component count.  An
-        over-cap network is refused before the first forest."""
-        takers = self.takers
-        forests = enumerate_spanning_forests(self.net, cap=cap)
-        if takers:
-            n = self.net.n
-            for f in forests:
-                for take in takers.get(n - len(f.edges), ()):
-                    take(f)
+    def facts(self, key: Key) -> PatternFacts:
+        """Validity, relative validity and the signed partitions of the
+        forests with this key, decided on its first request."""
+        facts = self._facts.get(key)
+        if facts is None:
+            net, (edges, pattern) = self.net, key
+            relative = self._relative_quotients
+            facts = self._facts[key] = PatternFacts(
+                valid=pattern_is_tree(self._quotient, edges, pattern),
+                relative=tuple(i for i, qg in relative if pattern_is_tree(qg, edges, pattern)),
+                partitions=tuple(
+                    (part, pattern_partition_sign(net, pattern, part))
+                    for part in pattern_partitions(net, edges, pattern)
+                ),
+            )
+        return facts

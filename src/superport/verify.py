@@ -6,18 +6,22 @@ the combinatorial side by explicit enumeration of spanning forests.  All
 comparisons are exact rational equality; a failed comparison produces a
 report carrying the witness (network, indices, both values).
 
-The forest side of every identity is a set of sums registered on a
-`ForestPass`, each for the component counts it reads, in integer units:
-trees (1 component) for Kirchhoff and det L; valid forests (m - p + 1) for
-the entries, det L, the signed sum, the cancellation and the voltages;
-forests valid relative to a non-root (m - p) for the entries and the
-currents; electrically valid forests (m) for Kirchhoff and every
-Kenyon-Wilson minor; pairing forests (m - 1) for Kirchhoff's entries; and
-each minor's groupings (one component per group).  `run_verifications`
-registers the sums of every requested theorem, enumerates once, builds K,
-C and L once if any of them reads those, and then hands the matrices to
-each theorem to compare.  A standalone verifier runs the same sums on a pass
-of its own and builds the matrices of its network the same way.
+The forest side of every identity is read from one `ForestPass`, whose
+grove table adds the forests' integer units by (edge count, boundary
+pattern): trees (1 component) for Kirchhoff and det L; valid forests
+(m - p + 1) for the entries, det L, the signed sum and the voltages; forests
+valid relative to a non-root (m - p) for the entries; electrically valid
+forests (m) for Kirchhoff and every Kenyon-Wilson minor; pairing forests
+(m - 1) for Kirchhoff's entries; and each minor's groupings (one component
+per group).  Each sum runs over table entries and decides validity, signs,
+groupings and signed partitions once per key.  The statements about single
+forests, the cancellation involution and the combinatorial voltages and
+currents, register takers on the pass instead, which receive each forest
+whose key admits it.  `run_verifications` registers what every requested
+theorem needs, enumerates once, builds K, C and L once if any of them reads
+those, and then hands the matrices to each theorem to sum and compare.  A
+standalone verifier runs the same sums on a pass of its own and builds the
+matrices of its network the same way.
 
 Identities covered:
 
@@ -51,15 +55,16 @@ from .forests import (
     Forest,
     ForestIsValid,
     ForestPass,
+    PatternFacts,
     check_cap,
     enumerate_spanning_forests,
-    forest_sign,
     main_cycle,
+    pattern_separates,
+    pattern_sign,
     permutation_parity,
     quotient_components,
     quotient_is_tree,
     quotient_path,
-    separates,
 )
 from .linalg import rat, rat_str
 from .network import (
@@ -152,9 +157,10 @@ def _report(theorem: str, failures: list, checks: int, lhs, rhs) -> Report:
 # -- the forest side: one pass, sums by component count --------------------------
 
 
-# A report is built in two steps: `build(p, ...)` registers its forest sums
-# on the pass p and returns `finish`, which takes the network's
-# ResponseMatrices once the pass has run and makes the report.  Outside
+# A report is built in two steps: `build(p, ...)` asks the pass p for its
+# table, and registers takers for statements about single forests, and
+# returns `finish`, which takes the network's ResponseMatrices once the pass
+# has run, sums the table and makes the report.  Outside
 # `_READS_MATRICES` a finish step reads no matrix and is handed None.
 Finish = Callable[[Optional[ResponseMatrices]], Report]
 
@@ -175,23 +181,7 @@ def _kirchhoff(p: ForestPass) -> Finish:
     net, m = p.net, p.net.m
     if m < 2:
         raise ValueError("the identity needs at least two boundary vertices")
-    p.share("trees", "electrical")
-    pairs: dict[tuple[int, int], int] = {}
-
-    def add_pair(f: Forest) -> None:
-        # m boundary vertices fall into m - 1 components, so some component
-        # holds two; the forest counts when no other component is shared
-        first: dict[int, int] = {}
-        pair = None
-        for v in range(1, m + 1):
-            u = first.setdefault(f.components[v], v)
-            if u != v:
-                if pair is not None:
-                    return
-                pair = (u, v)
-        pairs[pair] = pairs.get(pair, 0) + f.units
-
-    p.want(m - 1, add_pair)
+    p.want()
 
     def report(R: ResponseMatrices) -> Report:
         C = R.response
@@ -213,7 +203,12 @@ def _kirchhoff(p: ForestPass) -> Finish:
 
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
-                rhs = -p.weight(pairs.get((i, j), 0), m - 1) / H
+                # i and j share a component, every other boundary vertex has its own
+                groups = [(i, j), *((v,) for v in range(1, m + 1) if v not in (i, j))]
+                units = sum(
+                    u for key, u in p.entries(m - 1) if pattern_separates(key[1], groups)
+                )
+                rhs = -p.weight(units, m - 1) / H
                 for lhs in (C.entry(i, j), C.entry(j, i)):
                     checks += 1
                     if lhs != rhs:
@@ -236,7 +231,7 @@ def verify_kirchhoff(net: SuperportNetwork) -> Report:
     tree-weight sum over the valid-forest-weight sum; (2) for i < j the
     response entry C_i^j is minus the weight sum of (m-1)-component forests
     pairing i with j and isolating every other boundary vertex, over the
-    same denominator.  Part 2 is evaluated in one pass over the forests with
+    same denominator.  Part 2 reads the table entries of the forests with
     m - 1 components.
     """
     return _alone(net, _kirchhoff)
@@ -255,7 +250,7 @@ def _kw_minor(
     for v in pooled:
         if not net.is_boundary(v):
             raise ValueError(f"vertex {v} is not a boundary vertex")
-    p.share("electrical")
+    p.want()
     W = tuple(v for v in range(1, m + 1) if v not in set(pooled))
     k = len(xs)
     terms = []
@@ -263,17 +258,14 @@ def _kw_minor(
         sgn = permutation_parity({t: pi[t] for t in range(k)})
         terms.append((sgn, [(xs[t], ys[pi[t]]) for t in range(k)] + [(w,) for w in W]))
     count = k + len(W)  # one component per group
-    total = 0
-
-    def add(f: Forest) -> None:
-        nonlocal total
-        for sgn, groups in terms:
-            if separates(f, groups):
-                total += sgn * f.units
-
-    p.want(count, add)
 
     def report(R: ResponseMatrices) -> Report:
+        total = sum(
+            sgn * units
+            for key, units in p.entries(count)
+            for sgn, groups in terms
+            if pattern_separates(key[1], groups)
+        )
         lhs = R.response.take(xs + zs, ys + zs).det()
         factor = -1 if (signed and k % 2 == 1) else 1
         rhs = factor * p.weight(total, count) / p.total("electrical")
@@ -329,22 +321,19 @@ def _need_non_roots(net: SuperportNetwork) -> None:
 def _entries(p: ForestPass) -> Finish:
     net = p.net
     _need_non_roots(net)
-    p.share("valid")
+    p.want()
     nr = net.non_roots
-    num = {(i, j): 0 for i in nr for j in nr}
     # splitting a non-root off its superport adds one quotient class, so the
     # forests valid relative to any non-root all have m - p components
     count = net.m - net.p
 
-    def add(f: Forest) -> None:
-        rel = p.relative(f)
-        for i in rel:
-            for j in rel:
-                num[i, j] += forest_sign(f, net, i, j) * f.units
-
-    p.want(count, add)
-
     def report(R: ResponseMatrices) -> Report:
+        num = {(i, j): 0 for i in nr for j in nr}
+        for key, units in p.entries(count):
+            rel = p.facts(key).relative
+            for i in rel:
+                for j in rel:
+                    num[i, j] += pattern_sign(net, key[1], i, j) * units
         L = R.superport_response
         D = p.total("valid")
         failures: list = []
@@ -373,7 +362,7 @@ def verify_L_entries(net: SuperportNetwork) -> Report:
 def _det_L(p: ForestPass) -> Finish:
     net = p.net
     _need_non_roots(net)
-    p.share("trees", "valid")
+    p.want()
 
     def report(R: ResponseMatrices) -> Report:
         lhs = R.superport_response.det()
@@ -428,18 +417,16 @@ def _valid_minor_sum(net: SuperportNetwork, R: ResponseMatrices) -> Report:
 
 def _signed_sum(p: ForestPass) -> Finish:
     net = p.net
-    p.share("valid")
-    total = 0
-
-    def add(f: Forest) -> None:
-        nonlocal total
-        for _, sign in p.signed_partitions(f):
-            total += sign * f.units
-
-    p.want(net.m - net.p + 1, add)
+    count = net.m - net.p + 1
+    p.want()
 
     def report(R: ResponseMatrices) -> Report:
-        lhs = p.weight(total, net.m - net.p + 1)
+        total = sum(
+            sign * units
+            for key, units in p.entries(count)
+            for _, sign in p.facts(key).partitions
+        )
+        lhs = p.weight(total, count)
         rhs = p.total("valid")
         failures: list = []
         if lhs != rhs:
@@ -473,10 +460,10 @@ def _cancellation(p: ForestPass) -> Finish:
             )
         )
 
-    def add(f: Forest) -> None:
+    def add(f: Forest, facts: PatternFacts) -> None:
         nonlocal checks
-        parts = p.signed_partitions(f)
-        if p.valid(f):
+        valid, _, parts = facts
+        if valid:
             checks += 1
             if len(parts) != 1:
                 fail(len(parts), 1, f, "valid forest partition count")
@@ -484,8 +471,6 @@ def _cancellation(p: ForestPass) -> Finish:
             part, sign = parts[0]
             if part.X or part.Y or sign != 1:
                 fail(str(part), "X=Y=empty, sign +1", f, "valid forest partition")
-            return
-        if not parts:
             return
         checks += 1
         total = sum(sign for _, sign in parts)
@@ -511,7 +496,8 @@ def _cancellation(p: ForestPass) -> Finish:
                 fail("f(f(part))", "part", f, "involution squared")
                 return
 
-    p.want(net.m - net.p + 1, add)
+    # valid forests and non-valid forests with partitions
+    p.want(lambda facts: facts.valid or bool(facts.partitions), add)
     return lambda R: _report(
         "partition-cancellation", failures, checks, f"{checks} forests", "structure holds"
     )
@@ -539,14 +525,11 @@ def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
     edges that their path from [i] to [root(i)] crosses."""
     net = p.net
     n, m = net.n, net.m
-    p.share("valid")
     terms = [(i, du, net.quotient((i,))) for i, du in circuit.deltas if du != 0]
     volt = {i: [0] * (n + 1) for i, _, _ in terms}
     flow: dict[int, dict[tuple[int, int], int]] = {i: {} for i, _, _ in terms}
 
-    def add_voltages(f: Forest) -> None:
-        if not p.valid(f):
-            return
+    def add_voltages(f: Forest, _: PatternFacts) -> None:
         for i, _, qg in terms:
             root = quotient_components(qg, f)[0]
             ci = root[qg.class_of[i]]
@@ -555,23 +538,22 @@ def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
                 if root[qg.class_of[v]] == ci:
                     units[v] += f.units
 
-    def add_currents(f: Forest) -> None:
-        rel = p.relative(f)
+    def add_currents(f: Forest, facts: PatternFacts) -> None:
         for i, _, qg in terms:
-            if i not in rel:
+            if i not in facts.relative:
                 continue
             units = flow[i]
-            for key in quotient_path(net, qg, f, i, net.root_of[i]):
-                units[key] = units.get(key, 0) + f.units
+            for edge in quotient_path(net, qg, f, i, net.root_of[i]):
+                units[edge] = units.get(edge, 0) + f.units
 
-    p.want(net.m - net.p + 1, add_voltages)
-    p.want(net.m - net.p, add_currents)
+    p.want(lambda facts: facts.valid, add_voltages)
+    p.want(lambda facts: any(i in facts.relative for i, _, _ in terms), add_currents)
 
     def solution() -> Solution:
         # voltage sums run over valid forests and current sums over forests
         # with one edge more, so against the valid total only one factor of
         # the scale is left, on the currents
-        valid = p.units["valid"]
+        valid = p.tally("valid")
         voltages = tuple(
             sum((du * (volt[i][v] - volt[i][m]) for i, du, _ in terms), Fraction(0)) / valid
             for v in range(1, n + 1)
@@ -1001,8 +983,8 @@ def _plan_gluing(p: ForestPass) -> list[Finish]:
     ]
 
 
-# theorem -> registers the forest sums of its reports on the pass and returns
-# the step that finishes each report; random choices are drawn here, before
+# theorem -> asks the pass for what its reports read and returns the step
+# that finishes each report; random choices are drawn here, before
 # the pass, in the order the theorems are named.  A theorem whose
 # preconditions the network does not meet has no reports.
 _PLANS = {
@@ -1028,8 +1010,9 @@ def _finish(steps: list[Finish], R: Optional[ResponseMatrices]) -> list[Report]:
     return [step(R) for step in steps]
 
 
-# theorem -> makes its reports once the pass has run, from the network's K, C
-# and L: the matrix side and the comparisons.  Every entry is the same
+# theorem -> makes its reports once the pass has run, from the grove table
+# and the network's K, C and L: the sums, the matrix side and the
+# comparisons.  Every entry is the same
 # function; one entry per theorem lets a caller wrap, and so time, each
 # theorem on its own.
 THEOREMS = dict.fromkeys(_PLANS, _finish)
@@ -1044,10 +1027,11 @@ def run_verifications(
 ) -> list[Report]:
     """Run the named identity checks on one network in a single forest pass.
 
-    Each theorem first registers the sums its reports need; one enumeration
-    then hands every forest to the sums that want its component count; K, C
-    and L are built once, if a theorem with reports reads them; last, each
-    theorem's THEOREMS entry makes its reports.  Checks whose preconditions
+    Each theorem first asks for what its reports need; one enumeration then
+    fills the grove table and hands each forest to the takers its key
+    admits; K, C and L are built once, if a theorem with reports reads them;
+    last, each theorem's THEOREMS entry sums the table and makes its
+    reports.  Checks whose preconditions
     the network does not meet are skipped (a network with all-root boundary
     has no response to verify).
     """

@@ -471,6 +471,16 @@ class TestErrorPaths:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["solve"], ["response"], ["forests"], ["verify"], ["count", "--gencayley"],
+    ], ids=lambda argv: argv[0])
+    def test_directory_is_refused(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cannot read {tmp_path}: ")
+        assert "Traceback" not in err
+
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

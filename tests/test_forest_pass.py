@@ -5,8 +5,10 @@ each on a pass of its own, and it must enumerate the forests once and build
 the response matrices at most once, and only when a requested theorem reads
 them."""
 
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from superport import (
     CapExceeded,
     ForestEnsemble,
     Report,
+    canonical_network,
     combinatorial_solution,
     complete_network,
     electrical_response,
@@ -37,7 +40,23 @@ from superport import (
     verify_signed_sum,
     verify_valid_minor_sum,
 )
-from superport.forests import enumerate_spanning_forests
+from superport.forests import (
+    ForestPass,
+    enumerate_spanning_forests,
+    forest_sign,
+    is_relatively_valid,
+    is_valid,
+    main_cycle,
+    partition_sign,
+    partitions_for_forest,
+    pattern_is_tree,
+    pattern_partition_sign,
+    pattern_partitions,
+    pattern_separates,
+    pattern_sign,
+    quotient_is_tree,
+    separates,
+)
 from superport.solver import c2l, kirchhoff_matrix
 
 from conftest import w_network
@@ -170,9 +189,127 @@ def test_response_is_built_only_when_read(monkeypatch, theorems, builds):
     assert len(c2l_calls) == builds
 
 
+def test_a_pass_is_freed_without_the_collector(monkeypatch):
+    # the table lives as long as its pass; a reference cycle through the
+    # pass would keep every table until the next full collection
+    passes = []
+    init = ForestPass.__init__
+
+    def remember(self, net):
+        passes.append(weakref.ref(self))
+        init(self, net)
+
+    monkeypatch.setattr(ForestPass, "__init__", remember)
+    gc.disable()
+    try:
+        reports = run_verifications(w_network(2, 3, 5, 7), ["all"], rng=random.Random(0))
+        combinatorial_solution(unit_circuit(h_network(1, 2, 3, 4, 5), 1))
+        assert reports and len(passes) == 2
+        assert [ref() for ref in passes] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_response_matrices_builds_K_once(monkeypatch):
     net = h_network(1, 2, 3, 4, 5)  # vertices 5 and 6 are interior
     kirchhoff_calls = count_calls(monkeypatch, kirchhoff_matrix)
     matrices = response_matrices(net)
     assert len(kirchhoff_calls) == 1
     assert matrices.response == electrical_response(net)
+
+
+# -- the grove table: pattern predicates against the per-forest route ----------
+
+
+def redrawn_boundary(net, rng, interior):
+    """The same graph with a new boundary: every vertex when not `interior`,
+    else a proper subset, split into up to three superports."""
+    m = rng.randint(1, net.n - 1) if interior else net.n
+    boundary = rng.sample(range(1, net.n + 1), m)
+    p = rng.randint(1, min(3, m))
+    cuts = [0, *sorted(rng.sample(range(1, m), p - 1)), m]
+    superports = [boundary[a:b] for a, b in zip(cuts, cuts[1:])]
+    return canonical_network(net.edges, superports)
+
+
+def key_of(net, f):
+    return len(f.edges), f.components[1 : net.m + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_pattern_predicates_match_the_forest_route(seed, interior):
+    rng = random.Random(seed)
+    net = redrawn_boundary(random_network(rng, max_n=6, max_edges=9), rng, interior)
+    m, nr = net.m, net.non_roots
+    quotients = [net.quotient(), *(net.quotient((i,)) for i in range(1, m + 1))]
+    pairings = [
+        [(i, j), *((v,) for v in range(1, m + 1) if v not in (i, j))]
+        for i in range(1, m + 1)
+        for j in range(i + 1, m + 1)
+    ]
+    groupings = []
+    for _ in range(4):
+        X, Y, Z = random_xyzw(rng, m)
+        Y = rng.sample(Y, len(Y))
+        W = [v for v in range(1, m + 1) if v not in (*X, *Y, *Z)]
+        groupings.append([*zip(X, Y), *((w,) for w in W)])
+    p = ForestPass(net)
+    for f in enumerate_spanning_forests(net):
+        edges, pattern = key = key_of(net, f)
+        for qg in quotients:
+            assert pattern_is_tree(qg, edges, pattern) == quotient_is_tree(qg, f)
+        for i in nr:
+            for j in nr:
+                assert pattern_sign(net, pattern, i, j) == forest_sign(f, net, i, j)
+        signed = [(part, partition_sign(net, f, part)) for part in partitions_for_forest(net, f)]
+        assert [
+            (part, pattern_partition_sign(net, pattern, part))
+            for part in pattern_partitions(net, edges, pattern)
+        ] == signed
+        for groups in pairings + groupings:
+            assert pattern_separates(pattern, groups) == separates(f, groups)
+        facts = p.facts(key)
+        assert facts.valid == is_valid(f, net)
+        assert facts.relative == tuple(i for i in nr if is_relatively_valid(f, net, i))
+        assert facts.partitions == tuple(signed)
+
+
+def test_pattern_facts_are_decided_once_per_key(monkeypatch):
+    # two interior vertices give many forests per (edge count, pattern) key
+    net = canonical_network(
+        [(1, 2, 2), (1, 5, 3), (2, 6, 5), (3, 5, 7), (4, 6, 2), (5, 6, 3), (3, 4, 5), (2, 5, 7)],
+        [[1, 2], [3, 4]],
+    )
+    every = list(enumerate_spanning_forests(net))
+    keys = {key_of(net, f) for f in every}
+    assert len(every) > 2 * len(keys)
+    shared = [count_calls(monkeypatch, fn) for fn in (pattern_is_tree, pattern_partitions)]
+    signs = count_calls(monkeypatch, pattern_sign)
+    groupings = count_calls(monkeypatch, pattern_separates)
+    cycles = count_calls(monkeypatch, main_cycle)
+    grouped = []
+    for theorems in (["all"], ["kirchhoff"], ["kw"]):
+        del groupings[:]
+        reports = run_verifications(net, theorems, rng=random.Random(0))
+        assert reports and all(r.ok for r in reports)
+        grouped.append([(pattern, tuple(map(tuple, groups))) for pattern, groups in groupings])
+    # validity, relative validity and the signed partitions are shared by
+    # every theorem; a sign is asked once per key and pair, a grouping once
+    # per key by each theorem that names it
+    tree_calls, partition_calls = shared
+    decided = [
+        [(id(qg), edges, pattern) for qg, edges, pattern in tree_calls],
+        [(edges, pattern) for _, edges, pattern in partition_calls],
+        [args[1:] for args in signs],
+        *grouped[1:],
+    ]
+    for made in decided:
+        assert made and len(made) == len(set(made))
+    assert len(partition_calls) == len(keys)
+    assert len(grouped[0]) < len(every)
+    # the involution is a statement about one forest: once per non-valid
+    # forest with partitions, each forest once
+    cycled = [f for f in every if not is_valid(f, net) and any(partitions_for_forest(net, f))]
+    assert cycled
+    assert [args[1] for args in cycles] == cycled

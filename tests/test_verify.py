@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superport import (
     ForestEnsemble,
@@ -18,7 +20,6 @@ from superport import (
     h_network,
     load_network,
     make_circuit,
-    partition_sign,
     partitions_for_forest,
     random_circuit,
     random_network,
@@ -27,6 +28,7 @@ from superport import (
     solve,
     unify_superports,
     unit_circuit,
+    validate_and_canonicalize,
     verify_box_h,
     verify_cancellation,
     verify_cayley,
@@ -39,6 +41,7 @@ from superport import (
     verify_signed_sum,
     verify_valid_minor_sum,
 )
+from superport.forests import pattern_partition_sign
 
 from conftest import (
     FIXTURE_NAMES,
@@ -167,20 +170,24 @@ class TestResponseTheorems:
             assert verify_signed_sum(net).ok
             assert verify_cancellation(net).ok
 
-    def test_cancellation_signs_each_partition_once(self, monkeypatch):
-        # the side square's forest {b} carries four partitions that cancel
+    def test_cancellation_signs_each_pattern_partition_once(self, monkeypatch):
+        # the side square's forest {b} carries four partitions that cancel;
+        # signs are decided once per (edge count, boundary pattern) key
         net = side_square(2, 3, 5, 7)
-        ens = ForestEnsemble(net)
-        partitions = sum(len(list(partitions_for_forest(net, f))) for f in ens.forests)
+        firsts = {
+            (len(f.edges), f.components[1 : net.m + 1]): f
+            for f in reversed(ForestEnsemble(net).forests)
+        }
+        partitions = sum(len(list(partitions_for_forest(net, f))) for f in firsts.values())
         signed = []
 
-        def counting_sign(net, forest, part):
+        def counting_sign(net, pattern, part):
             signed.append(part)
-            return partition_sign(net, forest, part)
+            return pattern_partition_sign(net, pattern, part)
 
-        monkeypatch.setattr("superport.forests.partition_sign", counting_sign)
+        monkeypatch.setattr("superport.forests.pattern_partition_sign", counting_sign)
         assert verify_cancellation(net).ok
-        assert len(signed) == partitions
+        assert len(signed) == partitions == 6
 
 
 class TestCombinatorialSolution:
@@ -336,6 +343,66 @@ class TestRunner:
             ]
             assert reports[0] == reports[1]
             assert all(status == "pass" for _, status, _ in reports[0])
+
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_subdividing_an_edge(self, seed):
+        # an edge of conductance c becomes a new interior vertex joined by two
+        # edges of 2c: in series they conduct c, so C and L stay; every key's
+        # forest set changes, and every identity still holds
+        rng = random.Random(seed)
+        net = random_network(rng, max_n=7, max_edges=11, require_nonroots=True)
+        k = rng.randrange(len(net.edges))
+        u, v, c = net.edges[k]
+        w = net.n + 1
+        split = canonical_network(
+            [*net.edges[:k], (u, w, 2 * c), (w, v, 2 * c), *net.edges[k + 1 :]],
+            [list(sp) for sp in net.superports],
+        )
+        assert split.n == net.n + 1 and split.superports == net.superports
+        base, after = response_matrices(net), response_matrices(split)
+        assert after.response == base.response
+        assert after.superport_response == base.superport_response
+        verify_seed = rng.randrange(2**32)
+        for candidate in (net, split):
+            reports = run_verifications(candidate, ["all"], rng=random.Random(verify_seed))
+            assert reports and all(r.ok for r in reports)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_relabeling_and_shuffling_the_input(self, seed):
+        # new labels for every vertex, kept in order inside each superport so
+        # the canonical boundary and roots stay, and a shuffled edge list: the
+        # interior is numbered anew, so the edges and the forests come in
+        # another order, but L and every report stay
+        rng = random.Random(seed)
+        net = random_network(rng, max_n=7, max_edges=11, require_nonroots=True)
+        labels = rng.sample(range(1, 10 * net.n), net.n)
+        new = dict(zip(range(1, net.n + 1), labels))
+        for sp in net.superports:
+            for v, label in zip(sp, sorted(new[v] for v in sp)):
+                new[v] = label
+        edges = [{"u": new[v], "v": new[u], "c": c} for u, v, c in net.edges]
+        rng.shuffle(edges)
+        raw = {
+            "vertices": net.n,
+            "edges": edges,
+            "superports": [[new[v] for v in sp] for sp in net.superports],
+        }
+        moved, _ = validate_and_canonicalize(raw)
+        assert moved.superports == net.superports
+        L = response_matrices(net).superport_response
+        assert response_matrices(moved).superport_response == L
+        verify_seed = rng.randrange(2**32)
+        before, after = (
+            [r.to_data() for r in run_verifications(
+                candidate, ["all"], rng=random.Random(verify_seed)
+            )]
+            for candidate in (net, moved)
+        )
+        assert before == after
+        assert all(r["status"] == "pass" for r in before)
 
 
 class TestRandomNetwork:

@@ -1,0 +1,231 @@
+"""Mutation runner: does the oracle notice a broken program?
+
+Each mutant is a named textual edit of one file under ``src/superport``.  For
+each, the script copies ``src/`` (with ``tests/`` and what the tests read:
+``fixtures/``, ``perfbench/`` and ``tools/``) to a temporary directory,
+applies the edit there, and runs
+
+    python3 -m superport verify --campaign 20 --seed 0 --theorem all --format json
+
+on the copy.  A mutant is killed when the campaign exits 1, an identity
+having failed; one whose campaign crashes is reported apart, as an error,
+since exit 1 is meant for failed identities.  The script prints a kill
+matrix, one row per mutant and one column per theorem, holding the number of
+failed reports.  The unmutated copy runs first and must pass, or the
+matrix would mean nothing.  With ``--tier1`` it also runs the tier-1 tests on every
+mutant the campaign did not kill (``--tier1 all``: on every mutant).
+
+The script stops with an error, before running anything, when a mutant's
+text is not found exactly once in its file.  The working tree is never
+modified.
+
+Usage:
+    python3 tools/mutants.py [--only NAME ...] [--tier1 {survivors,all}] [--list]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "fixtures", "perfbench", "tools")
+CAMPAIGN = ["verify", "--campaign", "20", "--seed", "0", "--theorem", "all", "--format", "json"]
+THEOREMS = (
+    "kirchhoff",
+    "kenyon-wilson",
+    "response-entries",
+    "det-response",
+    "valid-minor-sum",
+    "signed-sum",
+    "partition-cancellation",
+    "gluing",
+    "forest-solution",
+)
+
+# name -> (file under src/superport, text, replacement)
+MUTANTS = {
+    # the probe of the first mutation experiment
+    "partition-sign-drops-parity": (
+        "forests.py",
+        "    if len(part.X) % 2 == 1:\n        sign = -sign\n",
+        "",
+    ),
+    "forest-sign-inverted": (
+        "forests.py",
+        "    root = quotient_components(qg, forest)[0]\n"
+        "    return 1 if root[qg.class_of[i]] != root[qg.class_of[j]] else -1",
+        "    root = quotient_components(qg, forest)[0]\n"
+        "    return -1 if root[qg.class_of[i]] != root[qg.class_of[j]] else 1",
+    ),
+    "involution-swaps-z-and-w": (
+        "forests.py",
+        "X=part.X - a, Y=part.Y - b, Z=part.Z | a, W=part.W | b",
+        "X=part.X - a, Y=part.Y - b, Z=part.Z | b, W=part.W | a",
+    ),
+    "kw-drops-sign-factor": (
+        "verify.py",
+        "factor = -1 if (signed and k % 2 == 1) else 1",
+        "factor = 1",
+    ),
+    "main-cycle-last-not-least": (
+        "forests.py",
+        "    string, edges = cycles[0]\n",
+        "    string, edges = cycles[-1]\n",
+    ),
+    # the grove table key
+    "key-drops-edge-count": (
+        "forests.py",
+        "key = (len(f.edges), f.components[1:m1])",
+        "key = (0, f.components[1:m1])",
+    ),
+    "key-slices-to-m": (
+        "forests.py",
+        "key = (len(f.edges), f.components[1:m1])",
+        "key = (len(f.edges), f.components[1 : m1 - 1])",
+    ),
+    # the pattern predicates
+    "validity-without-edge-count": (
+        "forests.py",
+        "    return edges == len(qg.classes) - 1 and pattern_components(qg, pattern)[1]",
+        "    return pattern_components(qg, pattern)[1]",
+    ),
+    "pattern-sign-inverted": (
+        "forests.py",
+        "    root = pattern_components(qg, pattern)[0]\n"
+        "    return 1 if root[qg.class_of[i]] != root[qg.class_of[j]] else -1",
+        "    root = pattern_components(qg, pattern)[0]\n"
+        "    return -1 if root[qg.class_of[i]] != root[qg.class_of[j]] else 1",
+    ),
+    "pattern-joins-least-to-itself": (
+        "forests.py",
+        "for v, least in enumerate(pattern, 1) if least != v)",
+        "for v, least in enumerate(pattern, 1))",
+    ),
+    "pattern-separates-allows-shared-component": (
+        "forests.py",
+        "    comps = [{pattern[v - 1] for v in g} for g in groups]\n"
+        "    return sum(map(len, comps)) == len(set().union(*comps)) == len(groups)",
+        "    comps = [{pattern[v - 1] for v in g} for g in groups]\n"
+        "    return sum(map(len, comps)) == len(groups)",
+    ),
+    "electrical-family-allows-interior": (
+        "forests.py",
+        '"electrical": (m, lambda key: len(set(key[1])) == m)',
+        '"electrical": (m, lambda key: True)',
+    ),
+    # the matrix side
+    "c2l-step-2-adds": (
+        "solver.py",
+        "            a[i][pos[k]] -= a[i][pos[r]]",
+        "            a[i][pos[k]] += a[i][pos[r]]",
+    ),
+    "eliminate-swap-keeps-sign": (
+        "linalg.py",
+        "rows[col], rows[pivot_row] = rows[pivot_row], [-x for x in rows[col]]",
+        "rows[col], rows[pivot_row] = rows[pivot_row], rows[col]",
+    ),
+}
+
+
+def check_texts(names: list[str]) -> None:
+    """Every mutant's text must occur exactly once in its file."""
+    bad = []
+    for name in names:
+        path, text, _ = MUTANTS[name]
+        found = (ROOT / "src" / "superport" / path).read_text().count(text)
+        if found != 1:
+            bad.append(f"{name}: text found {found} times in {path}")
+    if bad:
+        sys.exit("mutant texts must occur exactly once:\n  " + "\n  ".join(bad))
+
+
+def mutated_copy(name: Optional[str], into: Path) -> Path:
+    """A copy of the program under `into`, with the named mutant applied
+    (None: unmutated)."""
+    for part in COPIED:
+        shutil.copytree(
+            ROOT / part, into / part,
+            ignore=shutil.ignore_patterns("__pycache__", ".work", ".hypothesis"),
+        )
+    if name is not None:
+        path, text, replacement = MUTANTS[name]
+        target = into / "src" / "superport" / path
+        target.write_text(target.read_text().replace(text, replacement))
+    return into
+
+
+def run_campaign(copy: Path) -> tuple[str, Counter]:
+    """("killed", "survived" or "error", failed reports by theorem)."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "superport", *CAMPAIGN],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    if done.returncode not in (0, 1) or "Traceback" in done.stderr:
+        return "error", Counter()
+    failed = Counter(r["theorem"] for r in json.loads(done.stdout) if r["status"] != "pass")
+    if done.returncode == 1 and failed:
+        return "killed", failed
+    return "survived", failed
+
+
+def run_tier1(copy: Path) -> str:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    return "pass" if done.returncode == 0 else "fail"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", nargs="+", choices=sorted(MUTANTS), metavar="NAME")
+    parser.add_argument("--tier1", choices=("survivors", "all"))
+    parser.add_argument("--list", action="store_true", help="print the mutant names")
+    args = parser.parse_args(argv)
+    names = args.only or list(MUTANTS)
+    if args.list:
+        print("\n".join(names))
+        return 0
+    check_texts(names)
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = mutated_copy(None, Path(tmp))
+        outcome, failed = run_campaign(copy)
+        if outcome != "survived" or failed:
+            sys.exit(f"the unmutated campaign must pass, but it gave {outcome}")
+        if args.tier1 and run_tier1(copy) != "pass":
+            sys.exit("the unmutated tier-1 tests must pass")
+    width = max(map(len, names))
+    short = [t.split("-")[0][:9] for t in THEOREMS]
+    head = f"{'mutant':{width}}  {'campaign':8}  " + " ".join(f"{s:>9}" for s in short)
+    if args.tier1:
+        head += "  tier-1"
+    print(head)
+    survivors = 0
+    for name in names:
+        with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+            copy = mutated_copy(name, Path(tmp))
+            outcome, failed = run_campaign(copy)
+            row = f"{name:{width}}  {outcome:8}  " + " ".join(
+                f"{failed[t] or '.':>9}" for t in THEOREMS
+            )
+            if args.tier1 == "all" or (args.tier1 and outcome != "killed"):
+                row += f"  {run_tier1(copy)}"
+        survivors += outcome == "survived"
+        print(row, flush=True)
+    print(f"{len(names) - survivors} of {len(names)} mutants killed the campaign or crashed it")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
