@@ -34,7 +34,9 @@ identity: `ForestPass` adds each forest's units into a grove table keyed by
 relative validity, forest signs, groupings and the signed partitions once
 per key, not once per forest.  Only statements about single forests (the
 cancellation involution, the combinatorial voltages and currents) still
-take forests one by one, those whose key admits them.  The per-forest
+take forests one by one, those whose key admits them; each such forest's
+main cycle is searched for directly, and the involution reads only its
+ends, which the cancellation shares per (key, ends).  The per-forest
 predicates (`quotient_is_tree`, `forest_sign`, `separates`, ...) stay as the
 reference the pattern route is tested against.  `ForestEnsemble` holds all
 the forests by component count, with plain weight sums, for callers that
@@ -585,12 +587,14 @@ class MainCycle(NamedTuple):
     `classes` is the vertex string (class labels, starting at the smallest),
     `edges` the network edge indices in traversal order, and `paths` the
     split of those edges into maximal paths of the forest, each as
-    (tail, head, edge run) in cycle order.
+    (tail, head, edge run) in cycle order.  `ends` is (U, V): the sets of
+    path tails and of path heads, all the involution reads of the cycle.
     """
 
     classes: tuple[int, ...]
     edges: tuple[int, ...]
     paths: tuple[tuple[int, int, tuple[int, ...]], ...]
+    ends: tuple[frozenset[int], frozenset[int]]
 
     @property
     def length(self) -> int:
@@ -599,8 +603,7 @@ class MainCycle(NamedTuple):
     def involution(self, part: XYZWPartition) -> XYZWPartition:
         """The image of a partition of this cycle's forest under the
         sign-reversing involution (see involution_f)."""
-        U = frozenset(u for u, _, _ in self.paths)
-        V = frozenset(v for _, v, _ in self.paths)
+        U, V = self.ends
         for a, b in ((U, V), (V, U)):
             if a <= part.X and b <= part.Y:
                 return XYZWPartition(
@@ -613,6 +616,22 @@ class MainCycle(NamedTuple):
         raise ValueError("partition does not satisfy the cycle condition")
 
 
+def _quotient_adjacency(net: SuperportNetwork, forest: Forest) -> tuple[list, list]:
+    """The forest's quotient: each class's neighbours as (class, edge) pairs
+    in ascending order, and its loops as (class, edge) pairs."""
+    qg = net.quotient()
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(len(qg.classes))]
+    loops: list[tuple[int, int]] = []
+    for e in forest.edges:
+        a, b = qg.edge_classes[e]
+        if a == b:
+            loops.append((a, e))
+        else:
+            adj[a].append((b, e))
+            adj[b].append((a, e))
+    return [sorted(neighbours) for neighbours in adj], loops
+
+
 def simple_quotient_cycles(
     net: SuperportNetwork, forest: Forest
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -623,70 +642,58 @@ def simple_quotient_cycles(
     Strings start at the cycle's smallest class label; both orientations of
     a proper cycle appear.  A loop (one edge inside a single class) is a
     length-1 cycle; loops sort after all proper cycles, so they are chosen
-    as the main cycle only when no proper cycle exists.
+    as the main cycle only when no proper cycle exists.  This lists and
+    sorts them all: the reference `main_cycle` is tested against.
     """
-    qg = net.quotient()
-    k = len(qg.classes)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    loops: list[tuple[int, int]] = []
-    for e in forest.edges:
-        a, b = qg.edge_classes[e]
-        if a == b:
-            loops.append((a, e))
-        else:
-            adj[a].append((b, e))
-            adj[b].append((a, e))
-
-    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    for a, e in loops:
-        found.append((1, (qg.labels[a],), (e,)))
-
-    path_classes: list[int] = []
-    path_edges: list[int] = []
-
-    def dfs(s: int, current: int) -> None:
-        for b, e in adj[current]:
+    labels = net.quotient().labels
+    adj, loops = _quotient_adjacency(net, forest)
+    found = [(1, (labels[a],), (e,)) for a, e in loops]
+    # paths from each start class s through classes above s, grown from a stack
+    paths: list[tuple[list[int], list[int]]] = [([s], []) for s in range(len(adj))]
+    while paths:
+        path_classes, path_edges = paths.pop()
+        s = path_classes[0]
+        for b, e in adj[path_classes[-1]]:
             if b == s and path_edges:
                 if len(path_edges) == 1 and path_edges[0] == e:
                     continue  # the same edge traversed back is not a cycle
-                string = tuple(qg.labels[c] for c in path_classes)
-                found.append((0, string, tuple(path_edges) + (e,)))
+                string = tuple(labels[c] for c in path_classes)
+                found.append((0, string, (*path_edges, e)))
             elif b > s and b not in path_classes:
-                path_classes.append(b)
-                path_edges.append(e)
-                dfs(s, b)
-                path_classes.pop()
-                path_edges.pop()
-
-    for s in range(k):
-        path_classes.append(s)
-        dfs(s, s)
-        path_classes.pop()
-
+                paths.append(([*path_classes, b], [*path_edges, e]))
     found.sort()
     return [(string, edges) for _, string, edges in found]
 
 
-def _oriented_edges(
-    net: SuperportNetwork, string: tuple[int, ...], edges: tuple[int, ...]
-) -> list[tuple[int, int, int]]:
-    """Resolve the traversal into (tail, head, edge index) triples over
-    original vertices.  A loop is oriented from its smaller endpoint."""
-    qg = net.quotient()
-    out = []
-    for t, e in enumerate(edges):
-        u, v, _ = net.edges[e]
-        if len(string) == 1:
-            tail, head = min(u, v), max(u, v)
-        else:
-            tail_label = string[t]
-            head_label = string[(t + 1) % len(string)]
-            if qg.labels[qg.class_of[u]] == tail_label and qg.labels[qg.class_of[v]] == head_label:
-                tail, head = u, v
+def _least_cycle(adj: list, loops: list) -> Optional[tuple[list[int], list[int]]]:
+    """The classes and edges of the least simple cycle, a loop only if there
+    is no proper cycle, or None.
+
+    A depth-first search from each start class s in turn, over classes above
+    s, with the neighbours in (class, edge) order: its first closure back to
+    s is the least cycle through s, because a closure is tried before the
+    longer strings it is a prefix of.
+    """
+    for s in range(len(adj)):
+        classes, edges, stack = [s], [], [iter(adj[s])]
+        while stack:
+            for b, e in stack[-1]:
+                if b == s:
+                    if edges != [e]:  # the same edge traversed back is not a cycle
+                        return classes, [*edges, e]
+                elif b > s and b not in classes:
+                    classes.append(b)
+                    edges.append(e)
+                    stack.append(iter(adj[b]))
+                    break
             else:
-                tail, head = v, u
-        out.append((tail, head, e))
-    return out
+                stack.pop()
+                classes.pop()
+                del edges[-1:]
+    if not loops:
+        return None
+    a, e = min(loops)
+    return [a], [e]
 
 
 def main_cycle(net: SuperportNetwork, forest: Forest) -> Optional[MainCycle]:
@@ -695,15 +702,23 @@ def main_cycle(net: SuperportNetwork, forest: Forest) -> Optional[MainCycle]:
     None when the quotient is acyclic (in particular for valid forests).
     Among all simple oriented cycles the lexicographically smallest vertex
     string wins, ties broken by the edge-index tuple; loops are considered
-    only when no proper cycle exists.  The edge run is then cut into paths
-    at every point where consecutive edges do not share an actual vertex of
-    the forest (they share only a class).
+    only when no proper cycle exists.  It is searched for directly (see
+    `_least_cycle`), not picked from `simple_quotient_cycles`.  The edge run
+    is then cut into paths at every point where consecutive edges do not
+    share an actual vertex of the forest (they share only a class).
     """
-    cycles = simple_quotient_cycles(net, forest)
-    if not cycles:
+    found = _least_cycle(*_quotient_adjacency(net, forest))
+    if found is None:
         return None
-    string, edges = cycles[0]
-    oriented = _oriented_edges(net, string, edges)
+    classes, edges = found
+    qg = net.quotient()
+    # each edge from its class on the cycle to the next; a loop from its smaller end
+    oriented = []
+    for t, e in enumerate(edges):
+        u, v, _ = net.edges[e]
+        if (u > v if len(edges) == 1 else qg.class_of[u] != classes[t]):
+            u, v = v, u
+        oriented.append((u, v, e))
 
     L = len(oriented)
     breaks = [
@@ -722,7 +737,9 @@ def main_cycle(net: SuperportNetwork, forest: Forest) -> Optional[MainCycle]:
             run = []
         run.append((tail, head, e))
     paths.append((run[0][0], run[-1][1], tuple(r[2] for r in run)))
-    return MainCycle(classes=string, edges=edges, paths=tuple(paths))
+    ends = (frozenset(u for u, _, _ in paths), frozenset(v for _, v, _ in paths))
+    string = tuple(qg.labels[c] for c in classes)
+    return MainCycle(classes=string, edges=tuple(edges), paths=tuple(paths), ends=ends)
 
 
 def involution_f(

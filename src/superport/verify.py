@@ -6,20 +6,21 @@ the combinatorial side by explicit enumeration of spanning forests.  All
 comparisons are exact rational equality; a failed comparison produces a
 report carrying the witness (network, indices, both values).
 
-The forest side of every identity is read from one `ForestPass`, whose
-grove table adds the forests' integer units by (edge count, boundary
-pattern): trees (1 component) for Kirchhoff and det L; valid forests
-(m - p + 1) for the entries, det L, the signed sum and the voltages; forests
-valid relative to a non-root (m - p) for the entries; electrically valid
-forests (m) for Kirchhoff and every Kenyon-Wilson minor; pairing forests
-(m - 1) for Kirchhoff's entries; and each minor's groupings (one component
-per group).  Each sum runs over table entries and decides validity, signs,
-groupings and signed partitions once per key.  The statements about single
-forests, the cancellation involution and the combinatorial voltages and
-currents, register takers on the pass instead, which receive each forest
-whose key admits it.  `run_verifications` registers what every requested
-theorem needs, enumerates once, builds K, C and L once if any of them reads
-those, and then hands the matrices to each theorem to sum and compare.  A
+The forest side of every identity is read from one `ForestPass`, whose grove
+table adds the forests' integer units by (edge count, boundary pattern):
+trees (1 component) for Kirchhoff and det L; valid forests (m - p + 1) for
+the entries, det L, the signed sum and the voltages; forests valid relative
+to a non-root (m - p) for the entries; electrically valid forests (m) for
+Kirchhoff and every Kenyon-Wilson minor; pairing forests (m - 1) for
+Kirchhoff's entries; and each minor's groupings (one component per group).
+Each sum runs over table entries and decides validity, signs, groupings and
+signed partitions once per key.  The statements about single forests, the
+cancellation involution and the combinatorial voltages and currents,
+register takers on the pass instead, which receive each forest whose key
+admits it; the cancellation checks its involution once per key and
+main-cycle ends.  `run_verifications` registers what every requested theorem
+needs, enumerates once, builds K, C and L once if any of them reads those,
+and then hands the matrices to each theorem to sum and compare.  A
 standalone verifier runs the same sums on a pass of its own and builds the
 matrices of its network the same way.
 
@@ -55,6 +56,7 @@ from .forests import (
     Forest,
     ForestIsValid,
     ForestPass,
+    MainCycle,
     PatternFacts,
     check_cap,
     enumerate_spanning_forests,
@@ -253,19 +255,23 @@ def _kw_minor(
     p.want()
     W = tuple(v for v in range(1, m + 1) if v not in set(pooled))
     k = len(xs)
-    terms = []
-    for pi in itertools.permutations(range(k)):
-        sgn = permutation_parity({t: pi[t] for t in range(k)})
-        terms.append((sgn, [(xs[t], ys[pi[t]]) for t in range(k)] + [(w,) for w in W]))
     count = k + len(W)  # one component per group
 
+    def sign(pattern: tuple[int, ...]) -> int:
+        """sgn(pi) for the permutation pi whose groups the pattern separates,
+        0 if there is none.  There is at most one: each x_t must share its
+        component with exactly one y, and that y is y_pi(t)."""
+        y_in = {pattern[y - 1]: s for s, y in enumerate(ys)}
+        pi = [y_in.get(pattern[x - 1]) for x in xs]
+        if None in pi:
+            return 0
+        groups = [*zip(xs, (ys[s] for s in pi)), *((w,) for w in W)]
+        if not pattern_separates(pattern, groups):
+            return 0
+        return permutation_parity(dict(enumerate(pi)))
+
     def report(R: ResponseMatrices) -> Report:
-        total = sum(
-            sgn * units
-            for key, units in p.entries(count)
-            for sgn, groups in terms
-            if pattern_separates(key[1], groups)
-        )
+        total = sum(sign(key[1]) * units for key, units in p.entries(count))
         lhs = R.response.take(xs + zs, ys + zs).det()
         factor = -1 if (signed and k % 2 == 1) else 1
         rhs = factor * p.weight(total, count) / p.total("electrical")
@@ -460,6 +466,10 @@ def _cancellation(p: ForestPass) -> Finish:
             )
         )
 
+    m1 = net.m + 1
+    counted: dict = {}  # key -> the signed count of its partitions
+    faults: dict = {}  # (key, main-cycle ends) -> how the involution fails, or None
+
     def add(f: Forest, facts: PatternFacts) -> None:
         nonlocal checks
         valid, _, parts = facts
@@ -473,34 +483,46 @@ def _cancellation(p: ForestPass) -> Finish:
                 fail(str(part), "X=Y=empty, sign +1", f, "valid forest partition")
             return
         checks += 1
-        total = sum(sign for _, sign in parts)
-        if total != 0:
-            fail(total, 0, f, "non-valid forest signed count")
+        key = (len(f.edges), f.components[1:m1])
+        if key not in counted:
+            counted[key] = sum(sign for _, sign in parts)
+        if counted[key] != 0:
+            fail(counted[key], 0, f, "non-valid forest signed count")
             return
-        index = dict(parts)
         mc = main_cycle(net, f)
         if mc is None:
             raise ForestIsValid("the forest's quotient has no cycle")
-        for part, sign in parts:
-            image = mc.involution(part)
-            if image not in index:
-                fail(str(image), "a partition of the forest", f, "involution image")
-                return
-            if image == part:
-                fail(str(image), "a different partition", f, "involution fixed point")
-                return
-            if index[image] != -sign:
-                fail(index[image], -sign, f, "involution sign")
-                return
-            if mc.involution(image) != part:
-                fail("f(f(part))", "part", f, "involution squared")
-                return
+        # the key fixes the signed partitions and the involution reads only
+        # the cycle's ends, so every forest sharing both fares alike
+        shared = (key, mc.ends)
+        if shared not in faults:
+            faults[shared] = _involution_fault(mc, parts)
+        if faults[shared] is not None:
+            lhs, rhs, note = faults[shared]
+            fail(lhs, rhs, f, note)
 
     # valid forests and non-valid forests with partitions
     p.want(lambda facts: facts.valid or bool(facts.partitions), add)
     return lambda R: _report(
         "partition-cancellation", failures, checks, f"{checks} forests", "structure holds"
     )
+
+
+def _involution_fault(mc: MainCycle, parts) -> Optional[tuple]:
+    """The first way the involution of this main cycle fails on a forest's
+    signed partitions, as (lhs, rhs, note), or None if it pairs them off."""
+    index = dict(parts)
+    for part, sign in parts:
+        image = mc.involution(part)
+        if image not in index:
+            return str(image), "a partition of the forest", "involution image"
+        if image == part:
+            return str(image), "a different partition", "involution fixed point"
+        if index[image] != -sign:
+            return index[image], -sign, "involution sign"
+        if mc.involution(image) != part:
+            return "f(f(part))", "part", "involution squared"
+    return None
 
 
 def verify_cancellation(net: SuperportNetwork) -> Report:
@@ -510,8 +532,9 @@ def verify_cancellation(net: SuperportNetwork) -> Report:
     sign +1.  A non-valid forest's partitions must cancel pairwise under the
     involution: f maps each partition to a different partition of the same
     forest with the opposite sign, f o f is the identity, and the signed sum
-    over the forest's partitions is zero.  The main cycle that drives f is
-    found once per forest.
+    over the forest's partitions is zero.  The signed count is decided once
+    per key; the main cycle that drives f is found once per forest, and the
+    involution checked once per key and cycle ends, which fix its outcome.
     """
     return _alone(net, _cancellation)
 

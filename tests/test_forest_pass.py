@@ -6,6 +6,7 @@ the response matrices at most once, and only when a requested theorem reads
 them."""
 
 import gc
+import itertools
 import random
 import sys
 import weakref
@@ -42,6 +43,7 @@ from superport import (
 )
 from superport.forests import (
     ForestPass,
+    MainCycle,
     enumerate_spanning_forests,
     forest_sign,
     is_relatively_valid,
@@ -54,9 +56,11 @@ from superport.forests import (
     pattern_partitions,
     pattern_separates,
     pattern_sign,
+    permutation_parity,
     quotient_is_tree,
     separates,
 )
+from superport.linalg import rat_str
 from superport.solver import c2l, kirchhoff_matrix
 
 from conftest import w_network
@@ -275,12 +279,16 @@ def test_pattern_predicates_match_the_forest_route(seed, interior):
         assert facts.partitions == tuple(signed)
 
 
-def test_pattern_facts_are_decided_once_per_key(monkeypatch):
-    # two interior vertices give many forests per (edge count, pattern) key
-    net = canonical_network(
+def shared_key_network():
+    """Two interior vertices give many forests per (edge count, pattern) key."""
+    return canonical_network(
         [(1, 2, 2), (1, 5, 3), (2, 6, 5), (3, 5, 7), (4, 6, 2), (5, 6, 3), (3, 4, 5), (2, 5, 7)],
         [[1, 2], [3, 4]],
     )
+
+
+def test_pattern_facts_are_decided_once_per_key(monkeypatch):
+    net = shared_key_network()
     every = list(enumerate_spanning_forests(net))
     keys = {key_of(net, f) for f in every}
     assert len(every) > 2 * len(keys)
@@ -313,3 +321,119 @@ def test_pattern_facts_are_decided_once_per_key(monkeypatch):
     cycled = [f for f in every if not is_valid(f, net) and any(partitions_for_forest(net, f))]
     assert cycled
     assert [args[1] for args in cycles] == cycled
+
+
+# -- the cancellation: one involution check per (key, main-cycle ends) ---------
+
+
+def cycled_forests(net):
+    """The non-valid forests with partitions, in enumeration order, each with
+    its key and its main cycle's ends."""
+    return [
+        (f, key_of(net, f), main_cycle(net, f).ends)
+        for f in enumerate_spanning_forests(net)
+        if not is_valid(f, net) and any(partitions_for_forest(net, f))
+    ]
+
+
+def test_cancellation_checks_the_involution_once_per_key_and_ends(monkeypatch):
+    net = shared_key_network()
+    cycled = cycled_forests(net)
+    shared = {(key, ends) for _, key, ends in cycled}
+    assert len(shared) < len(cycled)
+    calls = []
+    original = MainCycle.involution
+
+    def counting(self, part):
+        calls.append(part)
+        return original(self, part)
+
+    monkeypatch.setattr(MainCycle, "involution", counting)
+    assert verify_cancellation(net).ok
+    size = {key: sum(1 for _ in pattern_partitions(net, *key)) for _, key, _ in cycled}
+    # two calls per partition at most: its image, and the image of that
+    assert len(calls) <= sum(2 * size[key] for key, _ in shared)
+    assert len(calls) < sum(2 * size[key] for _, key, _ in cycled)
+
+
+def test_a_failing_involution_names_the_first_forest(monkeypatch):
+    net = shared_key_network()
+    taken = [
+        f for f in enumerate_spanning_forests(net)
+        if is_valid(f, net) or any(partitions_for_forest(net, f))
+    ]
+    first = cycled_forests(net)[0][0]
+    monkeypatch.setattr(MainCycle, "involution", lambda self, part: part)
+    report = verify_cancellation(net)
+    assert report.status == "fail"
+    assert report.witness["note"] == "involution fixed point"
+    assert report.witness["forest"] == list(first.edges)
+    assert report.checks == len(taken)
+
+
+def test_an_involution_failing_on_one_key_and_ends_names_its_first_forest(monkeypatch):
+    # the involution fails on one key's partitions under one cycle's ends;
+    # the key's first forest has other ends, so a check shared by key alone
+    # would pass the key
+    net = canonical_network(
+        [(1, 3, 2), (1, 5, 2), (1, 6, 7), (2, 4, 1), (3, 4, 2), (3, 5, 3)],
+        [[1, 2], [3, 4, 5], [6]],
+    )
+    cycled = cycled_forests(net)
+    first_ends = {}
+    for _, key, ends in cycled:
+        first_ends.setdefault(key, ends)
+    bad_key, bad_ends = next((key, ends) for _, key, ends in cycled if ends != first_ends[key])
+    bad_parts = set(pattern_partitions(net, *bad_key))
+    witness = next(
+        f for f, key, ends in cycled
+        if ends == bad_ends and bad_parts.intersection(pattern_partitions(net, *key))
+    )
+    assert first_ends[key_of(net, witness)] != bad_ends
+    original = MainCycle.involution
+
+    def failing(self, part):
+        return part if self.ends == bad_ends and part in bad_parts else original(self, part)
+
+    monkeypatch.setattr(MainCycle, "involution", failing)
+    report = verify_cancellation(net)
+    assert report.witness["note"] == "involution fixed point"
+    assert report.witness["forest"] == list(witness.edges)
+
+
+# -- Kenyon-Wilson minors: one permutation per key -----------------------------
+
+
+def test_kw_sum_is_the_explicit_permutation_sum():
+    net = canonical_network(
+        [(1, 7, 2), (2, 7, 3), (3, 7, 5), (4, 7, 7), (5, 7, 2), (6, 7, 3),
+         (1, 5, 5), (2, 6, 7), (3, 4, 2), (1, 6, 3), (2, 4, 5), (3, 5, 7)],
+        [[1, 2, 3], [4, 5, 6]],
+    )
+    X, Y = (1, 2, 3), (5, 4, 6)
+    ensemble = ForestEnsemble(net)
+    terms = [
+        permutation_parity(dict(enumerate(pi)))
+        * ensemble.grouped_weight([(x, Y[s]) for x, s in zip(X, pi)])
+        for pi in itertools.permutations(range(3))
+    ]
+    assert sum(1 for t in terms if t) >= 2
+    electrical = ensemble.grouped_weight([(v,) for v in range(1, 7)])
+    report = verify_kw_minor(net, X, Y, ())
+    assert report.ok
+    assert report.rhs == rat_str(-sum(terms) / electrical)
+
+
+def test_kw_with_five_pairs_reads_one_permutation_per_key(monkeypatch):
+    edges = [
+        *((i, i + 5, 1 + i % 3) for i in range(1, 6)),
+        *((i, i + 6, 2) for i in range(1, 5)),
+        *((i, i + 1, 3) for i in range(1, 5)),
+    ]
+    net = canonical_network(edges, [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
+    keys = {key_of(net, f) for f in enumerate_spanning_forests(net) if f.component_count == 5}
+    calls = count_calls(monkeypatch, pattern_separates)
+    report = verify_kw_minor(net, (1, 2, 3, 4, 5), (7, 6, 8, 10, 9), ())
+    assert report.ok and report.rhs != "0"
+    # one grouping per key, not one for each of the 5! = 120 permutations
+    assert 0 < len(calls) <= len(keys)

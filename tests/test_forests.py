@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -267,6 +268,37 @@ class TestMainCycle:
         assert cycles[0][0] == (1, 3)
         assert cycles[-1][0] == (1,)
 
+    def test_least_start_class_and_least_loop_win(self):
+        # ports {1,2}, {3,4}, {5,6}: the paths 1-3-5 and 2-4-6 close a
+        # 2-cycle at each of the first two port classes; 1-2 and 3-4 are
+        # loops of the first two
+        net = canonical_network(
+            [(1, 3, 1), (2, 4, 1), (3, 5, 1), (4, 6, 1), (1, 2, 1), (3, 4, 1)],
+            [[1, 2], [3, 4], [5, 6]],
+        )
+        index = {(u, v): e for e, (u, v, _) in enumerate(net.edges)}
+        forests = {f.edges: f for f in enumerate_spanning_forests(net)}
+        two_cycles = tuple(sorted(index[uv] for uv in ((1, 3), (2, 4), (3, 5), (4, 6))))
+        mc = main_cycle(net, forests[two_cycles])
+        assert mc.classes == (1, 3)
+        assert mc.edges == (index[1, 3], index[2, 4])
+        mc = main_cycle(net, forests[tuple(sorted((index[1, 2], index[3, 4])))])
+        assert mc.edges == (index[1, 2],)
+
+    def test_cycle_listing_leaves_no_garbage(self):
+        # a recursive closure naming itself would leave a reference cycle
+        # behind on every call, for the collector to find
+        net = fig7()
+        forest = {f.edges: f for f in enumerate_spanning_forests(net)}[(0, 1, 2)]
+        net.quotient()
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(simple_quotient_cycles(net, forest)) > 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestInvolution:
     def test_valid_forest_raises(self):
@@ -451,3 +483,45 @@ def test_pruned_partitions_match_brute_force(seed):
         parts = list(partitions_for_forest(net, f))
         assert len(parts) == len(set(parts))
         assert set(parts) == brute_partitions(net, f)
+
+
+def split_into_paths(net, string, edges):
+    """A listed cycle cut into maximal forest paths, as main_cycle cuts it:
+    each step oriented along the string (a loop from its smaller end), the
+    run started after the first break and cut at every break."""
+    qg = net.quotient()
+    steps = []
+    for t, e in enumerate(edges):
+        u, v, _ = net.edges[e]
+        if len(string) == 1:
+            u, v = min(u, v), max(u, v)
+        elif qg.labels[qg.class_of[u]] != string[t]:
+            u, v = v, u
+        steps.append((u, v, e))
+    L = len(steps)
+    start = next(t for t in range(L) if steps[t][1] != steps[(t + 1) % L][0]) + 1
+    paths = []
+    for u, v, e in steps[start:] + steps[:start]:
+        if paths and paths[-1][1] == u:
+            paths[-1] = (paths[-1][0], v, paths[-1][2] + (e,))
+        else:
+            paths.append((u, v, (e,)))
+    return tuple(paths)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=1, max_value=4))
+def test_main_cycle_is_the_least_listed_cycle(seed, p_max):
+    # several superports give quotient loops and parallel quotient edges
+    net = random_network(random.Random(seed), max_n=7, max_edges=10, p_max=p_max)
+    for f in enumerate_spanning_forests(net):
+        cycles = simple_quotient_cycles(net, f)
+        mc = main_cycle(net, f)
+        if not cycles:
+            assert mc is None
+            continue
+        string, edges = cycles[0]
+        assert (mc.classes, mc.edges) == (string, edges)
+        assert mc.paths == split_into_paths(net, string, edges)
+        tails, heads, _ = zip(*mc.paths)
+        assert mc.ends == (frozenset(tails), frozenset(heads))
