@@ -24,10 +24,11 @@ from typing import Optional, Sequence
 from .forests import (
     DEFAULT_CAP,
     CapExceeded,
+    Forest,
     conductance_scale,
-    enumerate_spanning_forests,
     is_relatively_valid,
     is_valid,
+    walk_forests,
 )
 from .linalg import LinAlgError, Matrix, rat, rat_str, ratio_str
 from .network import (
@@ -154,17 +155,20 @@ def cmd_forests(args: argparse.Namespace) -> int:
     else:
         print(f"unknown kind {kind!r}", file=sys.stderr)
         return 2
-    forests = enumerate_spanning_forests(net, keep, cap=args.cap)
+    walk = walk_forests(net, cap=args.cap)
+    scale = conductance_scale(net)
     # a forest with k edges weighs units / D**k, reduced here on integers
     names = [str(e) for e in range(len(net.edges))]
-    powers = [conductance_scale(net) ** k for k in range(net.n)]  # at most n - 1 edges
+    powers = [scale ** k for k in range(net.n)]  # at most n - 1 edges
     write = sys.stdout.write
-    for f in forests:
-        line = " ".join([names[e] for e in f.edges])
+    for edges, labels, units, _ in walk:
+        if keep is not None and not keep(Forest(tuple(edges), tuple(labels), units, scale)):
+            continue
+        line = " ".join([names[e] for e in edges])
         if args.weights:
-            power = powers[len(f.edges)]
-            g = gcd(f.units, power)
-            line += "\t" + ratio_str(f.units // g, power // g)
+            power = powers[len(edges)]
+            g = gcd(units, power)
+            line += "\t" + ratio_str(units // g, power // g)
         write(line + "\n")
     return 0
 

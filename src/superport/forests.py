@@ -32,9 +32,12 @@ trees and dimers", Trans. AMS 2011).  So one enumeration serves every
 identity: `ForestPass` adds each forest's units into a grove table keyed by
 (edge count, pattern), and the `pattern_*` predicates decide validity,
 relative validity, forest signs, groupings and the signed partitions once
-per key, not once per forest.  Only statements about single forests (the
-cancellation involution, the combinatorial voltages and currents) still
-take forests one by one, those whose key admits them; each such forest's
+per key, not once per forest.  The one enumeration loop, `walk_forests`,
+tracks the key as it joins components, so a forest costs neither a key
+tuple nor a hash, and a `Forest` is built only where one is read.  Only
+statements about single forests (the cancellation involution, the
+combinatorial voltages and currents) still take forests one by one, those
+whose key admits them; each such forest's
 main cycle is searched for directly, and the involution reads only its
 ends, which the cancellation shares per (key, ends).  The per-forest
 predicates (`quotient_is_tree`, `forest_sign`, `separates`, ...) stay as the
@@ -69,6 +72,7 @@ __all__ = [
     "ForestEnsemble",
     "ForestIsValid",
     "ForestPass",
+    "GroveNode",
     "MainCycle",
     "PatternFacts",
     "XYZWPartition",
@@ -93,6 +97,7 @@ __all__ = [
     "quotient_path",
     "separates",
     "simple_quotient_cycles",
+    "walk_forests",
 ]
 
 DEFAULT_CAP = 20
@@ -148,19 +153,65 @@ def enumerate_spanning_forests(
     *,
     cap: Optional[int] = DEFAULT_CAP,
 ) -> Iterator[Forest]:
-    """Yield every spanning forest exactly once.
+    """Yield every spanning forest exactly once, as a `Forest`.
 
     The order is lexicographic in the edge-index tuples: (), (0,), (0, 1),
     (0, 1, 2), (0, 2), (1,), ...  A predicate filters the output without
     affecting the traversal.  The cap is checked before the first forest.
     """
+    walk = walk_forests(net, cap=cap)
+    scale = conductance_scale(net)
+    make = tuple.__new__  # builds a Forest without the keyword handling of Forest(...)
+    forests = (
+        make(Forest, (tuple(chosen), tuple(label), units, scale))
+        for chosen, label, units, _ in walk
+    )
+    return forests if predicate is None else filter(predicate, forests)
+
+
+class GroveNode:
+    """One grove-table key, (edge count, boundary pattern), as a walk meets
+    it: the units of its forests so far, the takers its facts admit, those
+    facts, and its links to the keys one edge deeper (see `walk_forests`)."""
+
+    __slots__ = ("units", "takers", "facts", "links")
+
+    def __init__(self, takers: tuple = (), facts: Optional[PatternFacts] = None):
+        self.units = 0
+        self.takers = takers
+        self.facts = facts
+        self.links: dict[int, GroveNode] = {}
+
+
+# the node of a walk that tracks no key: every join links back to it
+_UNTRACKED = GroveNode()
+_UNTRACKED.links[0] = _UNTRACKED
+
+
+def walk_forests(
+    net: SuperportNetwork,
+    node_for: Optional[Callable[[Key], GroveNode]] = None,
+    *,
+    cap: Optional[int] = DEFAULT_CAP,
+) -> Iterator[tuple[list[int], list[int], int, GroveNode]]:
+    """The one enumeration: yield (edges, labels, units, node) for every
+    spanning forest, in `enumerate_spanning_forests` order.
+
+    `edges` and `labels` are the walk's own lists, valid until the next
+    item: the chosen edge indices, ascending, and `labels[v]`, the least
+    vertex of v's component (entry 0 is padding), which are the `edges` and
+    `components` of the `Forest`.  `units` is its units.  With `node_for`,
+    which returns the one node of a grove key, `node` is the node of the
+    forest's key; without it, one shared node, not to be written, that
+    stands for every key.  The cap is checked before the first forest.
+    """
     check_cap(len(net.edges), cap)
-    return _walk_forests(net, predicate)
+    return _walk(net, node_for)
 
 
-def _walk_forests(
-    net: SuperportNetwork, predicate: Optional[Callable[[Forest], bool]]
-) -> Iterator[Forest]:
+def _walk(
+    net: SuperportNetwork, node_for: Optional[Callable[[Key], GroveNode]]
+) -> Iterator[tuple[list[int], list[int], int, GroveNode]]:
     """Depth-first walk over acyclic edge subsets.
 
     Component labels are kept current as edges are added: joining two
@@ -169,6 +220,14 @@ def _walk_forests(
     ends carry one label, and a forest's labels are read off as they stand.
     The weight is carried as an integer unit count, multiplied on the way
     down and restored from the stack on the way back.
+
+    The grove key is tracked the same way.  Boundary vertices are 1..m and
+    a component's label is its least vertex, so joining labels a < b
+    changes the boundary pattern only if b <= m, by merging b's boundary
+    vertices into a's.  Each node links to the nodes one edge deeper: link
+    0 for a join with b > m, which keeps the pattern, and link a * (m + 1)
+    + b for each merge; a link's key is built, and its node asked for, only
+    the first time the link is followed.
     """
     n, E = net.n, len(net.edges)
     scale = conductance_scale(net)
@@ -178,14 +237,16 @@ def _walk_forests(
     label = list(range(n + 1))
     members = [[v] for v in range(n + 1)]  # members[a]: the component labelled a
     chosen: list[int] = []
-    undo: list[tuple[int, int, int]] = []  # (kept label, merged label, units before)
+    # (kept label, merged label, units before, node before)
+    undo: list[tuple[int, int, int, GroveNode]] = []
     units = 1
-    make = tuple.__new__  # builds a Forest without the keyword handling of Forest(...)
+    # with no key to track, m = 0 sends every join along link 0 of one node
+    m = net.m if node_for is not None else 0
+    m1 = m + 1
+    node = node_for((0, tuple(range(1, m1)))) if node_for is not None else _UNTRACKED
     i = 0
     while True:
-        forest = make(Forest, (tuple(chosen), tuple(label), units, scale))
-        if predicate is None or predicate(forest):
-            yield forest
+        yield chosen, label, units, node
         # the next subset in lexicographic order: add the first edge from i
         # on that joins two components, or drop the last edge and go on after it
         while True:
@@ -196,7 +257,7 @@ def _walk_forests(
                 i += 1
             elif chosen:
                 i = chosen.pop()
-                a, b, units = undo.pop()
+                a, b, units, node = undo.pop()
                 moved = members[b]
                 del members[a][-len(moved):]
                 for v in moved:
@@ -211,9 +272,15 @@ def _walk_forests(
             label[v] = a
         members[a].extend(moved)
         chosen.append(i)
-        undo.append((a, b, units))
+        undo.append((a, b, units, node))
         units *= unit[i]
         i += 1
+        link = a * m1 + b if b <= m else 0
+        links = node.links
+        try:
+            node = links[link]
+        except KeyError:
+            node = links[link] = node_for((len(chosen), tuple(label[1:m1])))
 
 
 def quotient_components(qg: QuotientGraph, forest: Forest) -> tuple[list[int], bool]:
@@ -793,9 +860,12 @@ class ForestPass:
     scale once.  A statement about single forests registers a taker with
     `want`, with a test of facts that is decided on each key's first
     forest; the forests whose key passes reach the taker with the key's
-    facts.  The pass holds no reference to itself, nor do the verifiers'
-    takers, so it is freed, table and all, when its last reader lets go,
-    without waiting for the garbage collector.
+    facts.  The walk tracks each forest's key (see `walk_forests`), and a
+    `Forest` is built only for the forests that some taker receives.  A
+    taker that raises takes no more forests: `errors` keeps the forest and
+    the exception, and the pass goes on.  The pass holds no reference to
+    itself, nor do the verifiers' takers, so it is freed, table and all,
+    when its last reader lets go, without waiting for the garbage collector.
     """
 
     def __init__(self, net: SuperportNetwork):
@@ -804,6 +874,7 @@ class ForestPass:
         self.units: dict[Key, int] = {}
         self.wanted = False
         self.takers: list[tuple[Callable[[PatternFacts], bool], Taker]] = []
+        self.errors: dict[Taker, tuple[Forest, Exception]] = {}
         self._quotient = net.quotient()
         self._relative_quotients = [(i, net.quotient((i,))) for i in net.non_roots]
         self._facts: dict[Key, PatternFacts] = {}
@@ -823,23 +894,39 @@ class ForestPass:
         """Fill the table and hand each forest to the takers its key admits.
         An over-cap network is refused before the first forest, and a pass
         that nothing wants enumerates nothing."""
-        forests = enumerate_spanning_forests(self.net, cap=cap)
+        grove: dict[Key, GroveNode] = {}
+
+        def node_for(key: Key) -> GroveNode:
+            node = grove.get(key)
+            if node is None:
+                facts = self.facts(key) if self.takers else None
+                admitted = tuple(take for keep, take in self.takers if keep(facts))
+                node = grove[key] = GroveNode(admitted, facts)
+            return node
+
+        walk = walk_forests(self.net, node_for, cap=cap)
         if not self.wanted:
             return
-        m1, takers = self.net.m + 1, self.takers
-        grove: dict[Key, list] = {}  # key -> [units, the takers it admits, its facts]
-        find = grove.get
-        for f in forests:
-            key = (len(f.edges), f.components[1:m1])
-            entry = find(key)
-            if entry is None:
-                facts = self.facts(key) if takers else None
-                admitted = tuple(take for keep, take in takers if keep(facts))
-                entry = grove[key] = [0, admitted, facts]
-            entry[0] += f.units
-            for take in entry[1]:
-                take(f, entry[2])
-        self.units = {key: entry[0] for key, entry in grove.items()}
+        scale = self.scale
+        make = tuple.__new__  # builds a Forest without the keyword handling of Forest(...)
+        for chosen, label, units, node in walk:
+            node.units += units
+            if node.takers:
+                forest = make(Forest, (tuple(chosen), tuple(label), units, scale))
+                for take in node.takers:
+                    try:
+                        take(forest, node.facts)
+                    except Exception as exc:
+                        self._drop(take, forest, exc, grove)
+        self.units = {key: node.units for key, node in grove.items()}
+
+    def _drop(self, take: Taker, forest: Forest, exc: Exception, grove: dict) -> None:
+        """Keep a taker's error, traceback and all, and hand that taker no
+        more forests."""
+        self.errors[take] = (forest, exc)
+        self.takers = [(keep, t) for keep, t in self.takers if t is not take]
+        for node in grove.values():
+            node.takers = tuple(t for t in node.takers if t is not take)
 
     def entries(self, count: int) -> Iterator[tuple[Key, int]]:
         """The table entries of the forests with `count` components."""

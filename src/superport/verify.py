@@ -22,7 +22,10 @@ main-cycle ends.  `run_verifications` registers what every requested theorem
 needs, enumerates once, builds K, C and L once if any of them reads those,
 and then hands the matrices to each theorem to sum and compare.  A
 standalone verifier runs the same sums on a pass of its own and builds the
-matrices of its network the same way.
+matrices of its network the same way.  An exception raised inside a taker or
+a finish step is the program's fault, not the identity's, but it still
+makes a failed report, whose witness names the error, and the other reports
+run on.
 
 Identities covered:
 
@@ -53,6 +56,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .forests import (
     DEFAULT_CAP,
+    CapExceeded,
     Forest,
     ForestIsValid,
     ForestPass,
@@ -167,6 +171,43 @@ def _report(theorem: str, failures: list, checks: int, lhs, rhs) -> Report:
 Finish = Callable[[Optional[ResponseMatrices]], Report]
 
 
+def _guarded(theorem: str):
+    """Decorate a report's build so that the program's own faults land in
+    the report: an exception that a taker it registers raises on a forest,
+    or that its finish step raises, makes a failed report of `theorem`
+    whose witness holds the network, the forest if there is one, and the
+    error, and the other reports still run.  An exception raised while
+    building, such as an input error, propagates."""
+
+    def decorate(build):
+        @functools.wraps(build)
+        def guarded(p: ForestPass, *args) -> Finish:
+            first = len(p.takers)
+            finish = build(p, *args)
+            takers = [take for _, take in p.takers[first:]]
+
+            def report(R: Optional[ResponseMatrices]) -> Report:
+                raised = [p.errors[take] for take in takers if take in p.errors]
+                if not raised:
+                    try:
+                        return finish(R)
+                    except Exception as exc:
+                        raised = [(None, exc)]
+                forest, exc = raised[0]
+                error = f"{type(exc).__name__}: {exc}"
+                witness = {"network": network_to_data(p.net)}
+                if forest is not None:
+                    witness["forest"] = list(forest.edges)
+                witness["error"] = error
+                return _report(theorem, [(error, "no error", witness)], 0, None, None)
+
+            return report
+
+        return guarded
+
+    return decorate
+
+
 def _alone(net: SuperportNetwork, build, *args) -> Report:
     """Register one report's sums on a pass of their own, run it, and finish
     the report."""
@@ -179,6 +220,7 @@ def _alone(net: SuperportNetwork, build, *args) -> Report:
 # -- Kirchhoff and Kenyon-Wilson (electrical identities) ---------------------------
 
 
+@_guarded("kirchhoff")
 def _kirchhoff(p: ForestPass) -> Finish:
     net, m = p.net, p.net.m
     if m < 2:
@@ -239,6 +281,7 @@ def verify_kirchhoff(net: SuperportNetwork) -> Report:
     return _alone(net, _kirchhoff)
 
 
+@_guarded("kenyon-wilson")
 def _kw_minor(
     p: ForestPass, X: Sequence[int], Y: Sequence[int], Z: Sequence[int], signed: bool = True
 ) -> Finish:
@@ -324,6 +367,7 @@ def _need_non_roots(net: SuperportNetwork) -> None:
         raise NoNonRootVertices("every boundary vertex is a root")
 
 
+@_guarded("response-entries")
 def _entries(p: ForestPass) -> Finish:
     net = p.net
     _need_non_roots(net)
@@ -365,6 +409,7 @@ def verify_L_entries(net: SuperportNetwork) -> Report:
     return _alone(net, _entries)
 
 
+@_guarded("det-response")
 def _det_L(p: ForestPass) -> Finish:
     net = p.net
     _need_non_roots(net)
@@ -387,16 +432,32 @@ def verify_det_L(net: SuperportNetwork) -> Report:
     return _alone(net, _det_L)
 
 
+# the most minors the valid-minor sum takes: each is a determinant, so
+# 59,049 of them take over a second and 531,441 about fifteen
+MINOR_SUM_BOUND = 10_000
+
+
 def verify_valid_minor_sum(net: SuperportNetwork) -> Report:
     """The valid-minor sum identity, in cross-multiplied form:
 
         (sum over valid I, J of det C_I^J) * det L = det of reduced C,
 
     where I and J pick one vertex from each superport but the last.  With a
-    single superport the sum is the empty 0x0 minor, i.e. 1.
+    single superport the sum is the empty 0x0 minor, i.e. 1.  More than
+    `MINOR_SUM_BOUND` minors are refused with `CapExceeded`.
     """
     _need_non_roots(net)
-    return _valid_minor_sum(net, response_matrices(net))
+    return _minor_sum(ForestPass(net))(response_matrices(net))
+
+
+@_guarded("valid-minor-sum")
+def _minor_sum(p: ForestPass) -> Finish:
+    minors = math.prod(len(sp) for sp in p.net.superports[:-1]) ** 2
+    if minors > MINOR_SUM_BOUND:
+        raise CapExceeded(
+            f"the valid-minor sum needs {minors} minors, above the bound {MINOR_SUM_BOUND}"
+        )
+    return functools.partial(_valid_minor_sum, p.net)
 
 
 def _valid_minor_sum(net: SuperportNetwork, R: ResponseMatrices) -> Report:
@@ -421,6 +482,7 @@ def _valid_minor_sum(net: SuperportNetwork, R: ResponseMatrices) -> Report:
     )
 
 
+@_guarded("signed-sum")
 def _signed_sum(p: ForestPass) -> Finish:
     net = p.net
     count = net.m - net.p + 1
@@ -448,6 +510,7 @@ def verify_signed_sum(net: SuperportNetwork) -> Report:
     return _alone(net, _signed_sum)
 
 
+@_guarded("partition-cancellation")
 def _cancellation(p: ForestPass) -> Finish:
     net = p.net
     failures: list = []
@@ -614,9 +677,12 @@ def combinatorial_solution(circuit: Circuit) -> Solution:
     p = ForestPass(circuit.network)
     solution = _solution(p, circuit)
     p.run()
+    for _, exc in p.errors.values():
+        raise exc
     return solution()
 
 
+@_guarded("forest-solution")
 def _forest_solution(p: ForestPass, circuit: Circuit) -> Finish:
     solution = _solution(p, circuit)
 
@@ -999,11 +1065,10 @@ def _plan_solution(p: ForestPass, rng: Optional[random.Random]) -> list[Finish]:
     return [_forest_solution(p, circuit)]
 
 
-def _plan_gluing(p: ForestPass) -> list[Finish]:
-    return [
-        lambda R, circuit=unit_circuit(p.net, i), i=i: verify_gluing(circuit, i)
-        for i in p.net.non_roots
-    ]
+@_guarded("gluing")
+def _gluing(p: ForestPass, i: int) -> Finish:
+    circuit = unit_circuit(p.net, i)
+    return lambda R: verify_gluing(circuit, i)
 
 
 # theorem -> asks the pass for what its reports read and returns the step
@@ -1015,11 +1080,9 @@ _PLANS = {
     "kw": _plan_kw,
     "entries": lambda p, rng: [_entries(p)] if p.net.non_roots else [],
     "detl": lambda p, rng: [_det_L(p)] if p.net.non_roots else [],
-    "minorsum": lambda p, rng: (
-        [functools.partial(_valid_minor_sum, p.net)] if p.net.non_roots else []
-    ),
+    "minorsum": lambda p, rng: [_minor_sum(p)] if p.net.non_roots else [],
     "signedsum": lambda p, rng: [_signed_sum(p), _cancellation(p)],
-    "gluing": lambda p, rng: _plan_gluing(p),
+    "gluing": lambda p, rng: [_gluing(p, i) for i in p.net.non_roots],
     "solution": _plan_solution,
 }
 

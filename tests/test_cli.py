@@ -277,6 +277,30 @@ class TestForests:
                     if value_max == 1:
                         assert all(w == "1" for _, w in columns)
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_kind_prints_the_forests_of_the_fixture(self, capsys, name):
+        """The lines of every kind, with and without weights, are those
+        formatted from the Forests that `enumerate_spanning_forests` keeps."""
+        path = str(fixture_path(name))
+        net = load_network(path)
+        keeps = {
+            "all": None,
+            "trees": lambda f: f.component_count == 1,
+            "valid": lambda f: is_valid(f, net),
+            **{
+                f"relative:{i}": lambda f, i=i: is_relatively_valid(f, net, i)
+                for i in net.boundary
+            },
+        }
+        for kind, keep in keeps.items():
+            forests = list(enumerate_spanning_forests(net, keep))
+            edges = [" ".join(map(str, f.edges)) for f in forests]
+            weighed = [e + "\t" + rat_str(f.weight) for e, f in zip(edges, forests)]
+            for weights, expected in (([], edges), (["--weights"], weighed)):
+                code, out, err = run_cli(capsys, "forests", path, "--kind", kind, *weights)
+                assert (code, err) == (0, "")
+                assert out == "".join(line + "\n" for line in expected)
+
     def test_unknown_kind(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "forests", self.triangle(tmp_path), "--kind", "bogus"
@@ -367,6 +391,38 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", path, "--theorem", "detl")
         assert code == 2
         assert "does not apply" in err
+
+    def test_an_internal_error_is_a_failed_report(self, capsys, monkeypatch):
+        def broken(*args):
+            raise KeyError(3)
+
+        monkeypatch.setattr("superport.verify.quotient_path", broken)
+        path = str(fixture_path("w-network.json"))
+        code, out, err = run_cli(capsys, "verify", path, "--seed", "0")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert "forest-solution: fail (0 checks, KeyError: 3 vs no error)" in lines
+        assert sum(line.endswith(")") and ": pass (" in line for line in lines) >= 8
+        witness = json.loads(out[out.index("{"):])["witness"]
+        assert list(witness) == ["network", "forest", "error"]
+        assert witness["error"] == "KeyError: 3"
+
+    def test_too_many_minors_refused_before_any_forest(self, capsys, tmp_path, monkeypatch):
+        # six 3-vertex superports before the last: 3**6 squared = 531,441 minors
+        def refuse(*args, **kwargs):
+            raise AssertionError("forests walked before the minor count was checked")
+
+        monkeypatch.setattr("superport.forests.walk_forests", refuse)
+        net = canonical_network(
+            [(v, v + 1, 1) for v in range(1, 19)],
+            [list(range(v, v + 3)) for v in range(1, 19, 3)] + [[19]],
+        )
+        path = write_network(tmp_path, net)
+        code, out, err = run_cli(capsys, "verify", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "CapExceeded: the valid-minor sum needs 531441 minors, above the bound 10000\n"
+        )
 
     def test_unknown_theorem_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

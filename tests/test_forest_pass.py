@@ -42,6 +42,7 @@ from superport import (
     verify_valid_minor_sum,
 )
 from superport.forests import (
+    Forest,
     ForestPass,
     MainCycle,
     enumerate_spanning_forests,
@@ -58,9 +59,12 @@ from superport.forests import (
     pattern_sign,
     permutation_parity,
     quotient_is_tree,
+    quotient_path,
     separates,
+    walk_forests,
 )
 from superport.linalg import rat_str
+from superport.network import network_to_data
 from superport.solver import c2l, kirchhoff_matrix
 
 from conftest import w_network
@@ -129,17 +133,17 @@ def count_calls(monkeypatch, original):
     return calls
 
 
-def count_enumerations(monkeypatch):
-    """Count calls of enumerate_spanning_forests, and the forests they yield,
-    through every package module that binds the function; and count the
-    ensembles built."""
+def count_walks(monkeypatch):
+    """Count calls of walk_forests, the one enumeration, and the forests they
+    yield, through every package module that binds the function; and count
+    the ensembles built."""
     calls, produced, built = [], [], []
-    original = enumerate_spanning_forests
+    original = walk_forests
 
     def counting(*args, **kwargs):
-        forests = original(*args, **kwargs)
+        walk = original(*args, **kwargs)
         calls.append(args)
-        return (produced.append(f) or f for f in forests)
+        return (produced.append(tuple(item[0])) or item for item in walk)
 
     patch_everywhere(monkeypatch, original, counting)
     init = ForestEnsemble.__init__
@@ -153,17 +157,18 @@ def count_enumerations(monkeypatch):
 
 
 def test_run_verifications_enumerates_once(monkeypatch):
-    calls, produced, built = count_enumerations(monkeypatch)
     net = w_network(2, 3, 5, 7)
+    every = sum(1 for _ in enumerate_spanning_forests(net))
+    calls, produced, built = count_walks(monkeypatch)
     reports = run_verifications(net, ["all"], rng=random.Random(0))
     assert reports and all(r.ok for r in reports)
     assert len(calls) == 1
-    assert len(produced) == sum(1 for _ in enumerate_spanning_forests(net))
+    assert len(produced) == every
     assert built == []
 
 
 def test_over_cap_network_is_refused_before_any_forest(monkeypatch):
-    calls, produced, built = count_enumerations(monkeypatch)
+    calls, produced, built = count_walks(monkeypatch)
     net = complete_network(7)  # 21 edges
     with pytest.raises(CapExceeded):
         run_verifications(net, ["all"], rng=random.Random(0))
@@ -323,6 +328,35 @@ def test_pattern_facts_are_decided_once_per_key(monkeypatch):
     assert [args[1] for args in cycles] == cycled
 
 
+# -- the walk tracks the key: against the table built from Forests -------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=4))
+def test_tracked_key_equals_the_table_of_forests(seed, p_max):
+    # the edges come in another order, so the walk reaches the keys, and
+    # follows their links, in another order
+    rng = random.Random(seed)
+    net = random_network(rng, max_n=7, max_edges=12, p_max=p_max)
+    edges = list(net.edges)
+    rng.shuffle(edges)
+    net = canonical_network(edges, net.superports)
+    forests = list(enumerate_spanning_forests(net))
+    table = {}
+    for f in forests:
+        key = (len(f.edges), f.components[1 : net.m + 1])
+        table[key] = table.get(key, 0) + f.units
+    p = ForestPass(net)
+    every, valid = [], []
+    p.want(lambda facts: True, lambda f, facts: every.append(f))
+    p.want(lambda facts: facts.valid, lambda f, facts: valid.append((f, facts)))
+    p.run()
+    assert list(p.units.items()) == list(table.items())
+    assert every == forests
+    assert all(type(f) is Forest for f in every)
+    assert valid == [(f, p.facts(key_of(net, f))) for f in forests if is_valid(f, net)]
+
+
 # -- the cancellation: one involution check per (key, main-cycle ends) ---------
 
 
@@ -437,3 +471,68 @@ def test_kw_with_five_pairs_reads_one_permutation_per_key(monkeypatch):
     assert report.ok and report.rhs != "0"
     # one grouping per key, not one for each of the 5! = 120 permutations
     assert 0 < len(calls) <= len(keys)
+
+
+# -- the program's own faults land in the report --------------------------------
+
+
+def raising(monkeypatch, original, exc):
+    """Make `original` raise `exc` everywhere; returns the calls it got."""
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise exc
+
+    patch_everywhere(monkeypatch, original, broken)
+    return calls
+
+
+def test_a_raising_taker_fails_its_report_and_the_others_still_run(monkeypatch):
+    net = w_network(2, 3, 5, 7)
+    expected = [r.to_data() for r in run_verifications(net, ["all"], rng=random.Random(0))]
+    calls = raising(monkeypatch, quotient_path, KeyError(3))
+    reports = [r.to_data() for r in run_verifications(net, ["all"], rng=random.Random(0))]
+    # the currents taker raised on its first forest and took no more
+    assert len(calls) == 1
+    forest = calls[0][2]
+    failed = [r for r in reports if r["status"] != "pass"]
+    assert failed == [{
+        "theorem": "forest-solution",
+        "status": "fail",
+        "lhs": "KeyError: 3",
+        "rhs": "no error",
+        "checks": 0,
+        "witness": {
+            "network": network_to_data(net),
+            "forest": list(forest.edges),
+            "error": "KeyError: 3",
+        },
+    }]
+    assert [r for r in reports if r["status"] == "pass"] == [
+        r for r in expected if r["theorem"] != "forest-solution"
+    ]
+
+
+def test_a_raising_finish_step_fails_its_report(monkeypatch):
+    net = w_network(2, 3, 5, 7)
+    raising(monkeypatch, pattern_sign, ZeroDivisionError("division by zero"))
+    report = verify_L_entries(net)
+    assert (report.theorem, report.status) == ("response-entries", "fail")
+    assert report.witness == {
+        "network": network_to_data(net),
+        "error": "ZeroDivisionError: division by zero",
+    }
+    others = run_verifications(net, ["detl", "signedsum"], rng=random.Random(0))
+    assert others and all(r.ok for r in others)
+
+
+def test_the_combinatorial_solution_raises_what_its_taker_raised(monkeypatch):
+    raising(monkeypatch, quotient_path, KeyError(3))
+    with pytest.raises(KeyError):
+        combinatorial_solution(unit_circuit(h_network(1, 2, 3, 4, 5), 1))
+
+
+def test_input_errors_while_planning_still_raise():
+    with pytest.raises(ValueError, match="disjoint"):
+        verify_kw_minor(w_network(2, 3, 5, 7), (1,), (1,), ())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superport import (
+    CapExceeded,
     ForestEnsemble,
     NoNonRootVertices,
     Report,
@@ -162,6 +163,21 @@ class TestResponseTheorems:
         # with one superport the sum degenerates to the empty minor, 1
         net = unify_superports(w_network(1, 2, 3, 4))
         assert verify_valid_minor_sum(net).ok
+
+    @pytest.mark.parametrize("groups, refused", [(4, False), (5, True)])
+    def test_minor_sum_bound(self, groups, refused):
+        # 3-vertex superports before the last: 6,561 minors are summed,
+        # 59,049 refused before the first determinant
+        n = 3 * groups + 1
+        net = canonical_network(
+            [(v, v + 1, 1) for v in range(1, n)],
+            [list(range(v, v + 3)) for v in range(1, n, 3)] + [[n]],
+        )
+        if refused:
+            with pytest.raises(CapExceeded, match="needs 59049 minors"):
+                verify_valid_minor_sum(net)
+        else:
+            assert verify_valid_minor_sum(net).ok
 
     def test_signed_sum_and_cancellation(self):
         rng = random.Random(19)

@@ -109,16 +109,36 @@ MUTANTS = {
         "shared = (key, mc.ends)",
         "shared = key",
     ),
-    # the grove table key
+    # the grove table key, tracked by the walk
     "key-drops-edge-count": (
         "forests.py",
-        "key = (len(f.edges), f.components[1:m1])",
-        "key = (0, f.components[1:m1])",
+        "node_for((len(chosen), tuple(label[1:m1])))",
+        "node_for((0, tuple(label[1:m1])))",
     ),
     "key-slices-to-m": (
         "forests.py",
-        "key = (len(f.edges), f.components[1:m1])",
-        "key = (len(f.edges), f.components[1 : m1 - 1])",
+        "node_for((len(chosen), tuple(label[1:m1])))",
+        "node_for((len(chosen), tuple(label[1 : m1 - 1])))",
+    ),
+    "key-successor-keeps-edge-count": (
+        "forests.py",
+        "node_for((len(chosen), tuple(label[1:m1])))",
+        "node_for((len(chosen) - 1, tuple(label[1:m1])))",
+    ),
+    "key-boundary-test-off-by-one": (
+        "forests.py",
+        "link = a * m1 + b if b <= m else 0",
+        "link = a * m1 + b if b < m else 0",
+    ),
+    "key-links-by-merged-label-alone": (
+        "forests.py",
+        "link = a * m1 + b if b <= m else 0",
+        "link = b if b <= m else 0",
+    ),
+    "key-kept-on-backtrack": (
+        "forests.py",
+        "a, b, units, node = undo.pop()",
+        "a, b, units, _ = undo.pop()",
     ),
     # the pattern predicates
     "validity-without-edge-count": (
