@@ -36,11 +36,12 @@ from .network import (
     SchemaError,
     load_circuit,
     load_network,
+    loads_json,
     network_from_data,
     network_to_data,
     solution_to_data,
 )
-from .solver import SolverError, response_matrices, solve
+from .solver import SolverError, extended_response, response_matrices, solve
 from .verify import (
     THEOREMS,
     box_h,
@@ -68,9 +69,9 @@ def _print_matrix(matrix: Matrix, name: str) -> None:
         print(f"  {label}: " + " ".join(rat_str(x) for x in row))
 
 
-def _load_raw(path: str) -> dict:
+def _load_raw(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return loads_json(handle.read())
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -111,15 +112,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_response(args: argparse.Namespace) -> int:
     net = load_network(args.network, merge_parallel=args.merge_parallel)
     want = args.show
-    matrices = response_matrices(net, extended=want == "Lext")
-    if want == "K":
-        matrix = matrices.kirchhoff
-    elif want == "C":
-        matrix = matrices.response
-    elif want == "Lext":
-        matrix = matrices.extended
+    if want == "Lext":
+        matrix = extended_response(net)
     else:
-        matrix = matrices.superport_response
+        R = response_matrices(net)
+        matrix = {"K": R.kirchhoff, "C": R.response, "L": R.superport_response}[want]
         if matrix is None:
             print("no non-root vertices: the superport response is empty", file=sys.stderr)
             return 2
@@ -336,9 +333,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if exc.filename is None:
             raise
         print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"invalid JSON: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, NetworkError, LinAlgError, SolverError, CapExceeded) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

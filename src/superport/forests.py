@@ -57,7 +57,6 @@ they feed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -571,7 +570,6 @@ def pattern_partitions(
         yield XYZWPartition(X=xs, Y=ys, Z=zs, W=boundary - xs - ys - zs)
 
 
-@functools.lru_cache(maxsize=256)
 def _choices(sp: tuple[int, ...]):
     """The choices condition (2) allows in one superport: one Z vertex, or an
     ordered X-Y pair, the rest going to W.  Each is (X, Y, Z, moves), where
@@ -862,10 +860,11 @@ class ForestPass:
     forest; the forests whose key passes reach the taker with the key's
     facts.  The walk tracks each forest's key (see `walk_forests`), and a
     `Forest` is built only for the forests that some taker receives.  A
-    taker that raises takes no more forests: `errors` keeps the forest and
-    the exception, and the pass goes on.  The pass holds no reference to
-    itself, nor do the verifiers' takers, so it is freed, table and all,
-    when its last reader lets go, without waiting for the garbage collector.
+    taker that raises takes no more forests: `errors` keeps the forest, if
+    there is one, and the exception, and the pass goes on.  The pass holds
+    no reference to itself, nor do the verifiers' takers, so it is freed,
+    table and all, when its last reader lets go, without waiting for the
+    garbage collector.
     """
 
     def __init__(self, net: SuperportNetwork):
@@ -874,7 +873,7 @@ class ForestPass:
         self.units: dict[Key, int] = {}
         self.wanted = False
         self.takers: list[tuple[Callable[[PatternFacts], bool], Taker]] = []
-        self.errors: dict[Taker, tuple[Forest, Exception]] = {}
+        self.errors: dict[Taker, tuple[Optional[Forest], Exception]] = {}
         self._quotient = net.quotient()
         self._relative_quotients = [(i, net.quotient((i,))) for i in net.non_roots]
         self._facts: dict[Key, PatternFacts] = {}
@@ -892,21 +891,29 @@ class ForestPass:
 
     def run(self, cap: Optional[int] = DEFAULT_CAP) -> None:
         """Fill the table and hand each forest to the takers its key admits.
-        An over-cap network is refused before the first forest, and a pass
-        that nothing wants enumerates nothing."""
+        A pass that nothing wants enumerates nothing, whatever the network's
+        size; a wanted pass refuses an over-cap network before the first
+        forest.  An exception raised while deciding a new key's facts, or
+        which takers they admit, is no one taker's: every taker keeps it,
+        with no forest, and takes no more forests, and the walk goes on."""
+        if not self.wanted:
+            return
         grove: dict[Key, GroveNode] = {}
 
         def node_for(key: Key) -> GroveNode:
             node = grove.get(key)
             if node is None:
-                facts = self.facts(key) if self.takers else None
-                admitted = tuple(take for keep, take in self.takers if keep(facts))
+                try:
+                    facts = self.facts(key) if self.takers else None
+                    admitted = tuple(take for keep, take in self.takers if keep(facts))
+                except Exception as exc:
+                    for _, take in tuple(self.takers):
+                        self._drop(take, None, exc, grove)
+                    facts, admitted = None, ()
                 node = grove[key] = GroveNode(admitted, facts)
             return node
 
         walk = walk_forests(self.net, node_for, cap=cap)
-        if not self.wanted:
-            return
         scale = self.scale
         make = tuple.__new__  # builds a Forest without the keyword handling of Forest(...)
         for chosen, label, units, node in walk:
@@ -920,7 +927,7 @@ class ForestPass:
                         self._drop(take, forest, exc, grove)
         self.units = {key: node.units for key, node in grove.items()}
 
-    def _drop(self, take: Taker, forest: Forest, exc: Exception, grove: dict) -> None:
+    def _drop(self, take: Taker, forest: Optional[Forest], exc: Exception, grove: dict) -> None:
         """Keep a taker's error, traceback and all, and hand that taker no
         more forests."""
         self.errors[take] = (forest, exc)

@@ -219,14 +219,7 @@ class Matrix:
             labels=labels,
         )
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
     # -- basic protocol -------------------------------------------------------
-
-    def __getitem__(self, i: int):
-        return self.entries[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -277,19 +270,6 @@ class Matrix:
         clab = self.col_labels if self.col_labels == other.col_labels else None
         return rlab, clab
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        rlab, clab = self._merge_labels(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            row_labels=rlab,
-            col_labels=clab,
-        )
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
@@ -301,13 +281,6 @@ class Matrix:
             ],
             row_labels=rlab,
             col_labels=clab,
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(
-            [[-a for a in row] for row in self.entries],
-            row_labels=self.row_labels,
-            col_labels=self.col_labels,
         )
 
     def __mul__(self, other):

@@ -50,6 +50,7 @@ __all__ = [
     "load_circuit",
     "load_network",
     "loads_circuit",
+    "loads_json",
     "loads_network",
     "make_circuit",
     "network_from_data",
@@ -392,9 +393,7 @@ def validate_and_canonicalize(
     return net, mapping
 
 
-def canonical_network(
-    edges: Iterable, superports: Iterable[Iterable[int]], *, merge_parallel: bool = False
-) -> SuperportNetwork:
+def canonical_network(edges: Iterable, superports: Iterable[Iterable[int]]) -> SuperportNetwork:
     """Canonical network from programmatic edge/superport lists; the vertex
     count is inferred from the labels that appear."""
     edge_list = list(edges)
@@ -407,7 +406,7 @@ def canonical_network(
     for sp in sp_list:
         labels.update(sp)
     raw = {"vertices": len(labels), "edges": edge_list, "superports": sp_list}
-    net, _ = validate_and_canonicalize(raw, merge_parallel=merge_parallel)
+    net, _ = validate_and_canonicalize(raw)
     return net
 
 
@@ -572,21 +571,21 @@ def dumps_circuit(circuit: Circuit) -> str:
     return json.dumps(circuit_to_data(circuit), indent=2) + "\n"
 
 
-def loads_network(text: str, *, merge_parallel: bool = False) -> SuperportNetwork:
+def loads_json(text: str):
+    """The value of a JSON text; malformed text is a SchemaError at "$"."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}")
-    net, _ = network_from_data(data, merge_parallel=merge_parallel)
+
+
+def loads_network(text: str, *, merge_parallel: bool = False) -> SuperportNetwork:
+    net, _ = network_from_data(loads_json(text), merge_parallel=merge_parallel)
     return net
 
 
 def loads_circuit(text: str, *, merge_parallel: bool = False) -> Circuit:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}")
-    circuit, _ = circuit_from_data(data, merge_parallel=merge_parallel)
+    circuit, _ = circuit_from_data(loads_json(text), merge_parallel=merge_parallel)
     return circuit
 
 

@@ -172,22 +172,21 @@ class ResponseMatrices:
     """The matrices attached to one network.
 
     `superport_response` is None exactly when every boundary vertex is a
-    root (m = p); `extended` is filled only on request.
+    root (m = p).
     """
 
     kirchhoff: Matrix
     response: Matrix
     superport_response: Optional[Matrix]
-    extended: Optional[Matrix] = None
 
 
-def response_matrices(net: SuperportNetwork, *, extended: bool = False) -> ResponseMatrices:
-    """K, C and L of one network, K built once and C derived from it."""
+def response_matrices(net: SuperportNetwork) -> ResponseMatrices:
+    """K, C and L of one network, all three built on the call, K once and C
+    derived from it.  A caller that may not read them defers the call."""
     K = kirchhoff_matrix(net)
     C = _eliminate_interior(K, net.m)
     L = c2l(C, net.superports) if net.non_roots else None
-    ext = extended_response(net) if extended else None
-    return ResponseMatrices(kirchhoff=K, response=C, superport_response=L, extended=ext)
+    return ResponseMatrices(kirchhoff=K, response=C, superport_response=L)
 
 
 def solve(circuit: Circuit) -> Solution:

@@ -19,13 +19,13 @@ cancellation involution and the combinatorial voltages and currents,
 register takers on the pass instead, which receive each forest whose key
 admits it; the cancellation checks its involution once per key and
 main-cycle ends.  `run_verifications` registers what every requested theorem
-needs, enumerates once, builds K, C and L once if any of them reads those,
-and then hands the matrices to each theorem to sum and compare.  A
-standalone verifier runs the same sums on a pass of its own and builds the
-matrices of its network the same way.  An exception raised inside a taker or
-a finish step is the program's fault, not the identity's, but it still
-makes a failed report, whose witness names the error, and the other reports
-run on.
+needs, enumerates once if any of them reads forests, and then lets each
+theorem sum and compare; K, C and L are built once, by the first report
+that reads them.  A standalone verifier runs the same sums on a pass of its
+own, through the same steps.  An exception raised inside a taker, while the
+pass decides a key's facts, or in a finish step is the program's fault, not
+the identity's, but it still makes a failed report, whose witness names the
+error, and the other reports run on.
 
 Identities covered:
 
@@ -165,19 +165,22 @@ def _report(theorem: str, failures: list, checks: int, lhs, rhs) -> Report:
 
 # A report is built in two steps: `build(p, ...)` asks the pass p for its
 # table, and registers takers for statements about single forests, and
-# returns `finish`, which takes the network's ResponseMatrices once the pass
-# has run, sums the table and makes the report.  Outside
-# `_READS_MATRICES` a finish step reads no matrix and is handed None.
-Finish = Callable[[Optional[ResponseMatrices]], Report]
+# returns `finish`, which sums the table once the pass has run and makes the
+# report.  `finish` is handed `matrices`, which returns the network's
+# ResponseMatrices and builds them on its first call, so K, C and L are
+# built only if a finish step reads them.
+Matrices = Callable[[], ResponseMatrices]
+Finish = Callable[[Matrices], Report]
 
 
 def _guarded(theorem: str):
     """Decorate a report's build so that the program's own faults land in
     the report: an exception that a taker it registers raises on a forest,
-    or that its finish step raises, makes a failed report of `theorem`
-    whose witness holds the network, the forest if there is one, and the
-    error, and the other reports still run.  An exception raised while
-    building, such as an input error, propagates."""
+    that the pass raises while deciding which forests its takers get, or
+    that its finish step raises, makes a failed report of `theorem` whose
+    witness holds the network, the forest if there is one, and the error,
+    and the other reports still run.  An exception raised while building,
+    such as an input error, propagates."""
 
     def decorate(build):
         @functools.wraps(build)
@@ -186,11 +189,11 @@ def _guarded(theorem: str):
             finish = build(p, *args)
             takers = [take for _, take in p.takers[first:]]
 
-            def report(R: Optional[ResponseMatrices]) -> Report:
+            def report(matrices: Matrices) -> Report:
                 raised = [p.errors[take] for take in takers if take in p.errors]
                 if not raised:
                     try:
-                        return finish(R)
+                        return finish(matrices)
                     except Exception as exc:
                         raised = [(None, exc)]
                 forest, exc = raised[0]
@@ -210,11 +213,11 @@ def _guarded(theorem: str):
 
 def _alone(net: SuperportNetwork, build, *args) -> Report:
     """Register one report's sums on a pass of their own, run it, and finish
-    the report."""
+    the report, building K, C and L only if it reads them."""
     p = ForestPass(net)
     finish = build(p, *args)
     p.run()
-    return finish(response_matrices(net))
+    return finish(functools.cache(lambda: response_matrices(net)))
 
 
 # -- Kirchhoff and Kenyon-Wilson (electrical identities) ---------------------------
@@ -227,8 +230,8 @@ def _kirchhoff(p: ForestPass) -> Finish:
         raise ValueError("the identity needs at least two boundary vertices")
     p.want()
 
-    def report(R: ResponseMatrices) -> Report:
-        C = R.response
+    def report(matrices: Matrices) -> Report:
+        C = matrices().response
         H = p.total("electrical")
         failures: list = []
         checks = 0
@@ -313,9 +316,9 @@ def _kw_minor(
             return 0
         return permutation_parity(dict(enumerate(pi)))
 
-    def report(R: ResponseMatrices) -> Report:
+    def report(matrices: Matrices) -> Report:
         total = sum(sign(key[1]) * units for key, units in p.entries(count))
-        lhs = R.response.take(xs + zs, ys + zs).det()
+        lhs = matrices().response.take(xs + zs, ys + zs).det()
         factor = -1 if (signed and k % 2 == 1) else 1
         rhs = factor * p.weight(total, count) / p.total("electrical")
         failures: list = []
@@ -377,14 +380,14 @@ def _entries(p: ForestPass) -> Finish:
     # forests valid relative to any non-root all have m - p components
     count = net.m - net.p
 
-    def report(R: ResponseMatrices) -> Report:
+    def report(matrices: Matrices) -> Report:
         num = {(i, j): 0 for i in nr for j in nr}
         for key, units in p.entries(count):
             rel = p.facts(key).relative
             for i in rel:
                 for j in rel:
                     num[i, j] += pattern_sign(net, key[1], i, j) * units
-        L = R.superport_response
+        L = matrices().superport_response
         D = p.total("valid")
         failures: list = []
         for (i, j), total in num.items():
@@ -415,8 +418,8 @@ def _det_L(p: ForestPass) -> Finish:
     _need_non_roots(net)
     p.want()
 
-    def report(R: ResponseMatrices) -> Report:
-        lhs = R.superport_response.det()
+    def report(matrices: Matrices) -> Report:
+        lhs = matrices().superport_response.det()
         rhs = p.total("trees") / p.total("valid")
         failures: list = []
         if lhs != rhs:
@@ -437,6 +440,41 @@ def verify_det_L(net: SuperportNetwork) -> Report:
 MINOR_SUM_BOUND = 10_000
 
 
+@_guarded("valid-minor-sum")
+def _minor_sum(p: ForestPass) -> Finish:
+    net = p.net
+    _need_non_roots(net)
+    choices = [list(sp) for sp in net.superports[:-1]]
+    minors = math.prod(map(len, choices)) ** 2
+    if minors > MINOR_SUM_BOUND:
+        raise CapExceeded(
+            f"the valid-minor sum needs {minors} minors, above the bound {MINOR_SUM_BOUND}"
+        )
+
+    def report(matrices: Matrices) -> Report:
+        R = matrices()
+        C, L = R.response, R.superport_response
+        m = net.m
+        det_reduced = C.submatrix(range(m - 1), range(m - 1)).det()
+        total = Fraction(0)
+        count = 0
+        for I in itertools.product(*choices):
+            for J in itertools.product(*choices):
+                total += C.take(I, J).det()
+                count += 1
+        lhs = total * L.det()
+        failures: list = []
+        if lhs != det_reduced:
+            failures.append(
+                (lhs, det_reduced, {"network": network_to_data(net), "pairs": count})
+            )
+        return _report(
+            "valid-minor-sum", failures, 1, rat_str(lhs), rat_str(det_reduced)
+        )
+
+    return report
+
+
 def verify_valid_minor_sum(net: SuperportNetwork) -> Report:
     """The valid-minor sum identity, in cross-multiplied form:
 
@@ -446,40 +484,7 @@ def verify_valid_minor_sum(net: SuperportNetwork) -> Report:
     single superport the sum is the empty 0x0 minor, i.e. 1.  More than
     `MINOR_SUM_BOUND` minors are refused with `CapExceeded`.
     """
-    _need_non_roots(net)
-    return _minor_sum(ForestPass(net))(response_matrices(net))
-
-
-@_guarded("valid-minor-sum")
-def _minor_sum(p: ForestPass) -> Finish:
-    minors = math.prod(len(sp) for sp in p.net.superports[:-1]) ** 2
-    if minors > MINOR_SUM_BOUND:
-        raise CapExceeded(
-            f"the valid-minor sum needs {minors} minors, above the bound {MINOR_SUM_BOUND}"
-        )
-    return functools.partial(_valid_minor_sum, p.net)
-
-
-def _valid_minor_sum(net: SuperportNetwork, R: ResponseMatrices) -> Report:
-    C, L = R.response, R.superport_response
-    m = net.m
-    det_reduced = C.submatrix(range(m - 1), range(m - 1)).det()
-    choices = [list(sp) for sp in net.superports[:-1]]
-    total = Fraction(0)
-    count = 0
-    for I in itertools.product(*choices):
-        for J in itertools.product(*choices):
-            total += C.take(I, J).det()
-            count += 1
-    lhs = total * L.det()
-    failures: list = []
-    if lhs != det_reduced:
-        failures.append(
-            (lhs, det_reduced, {"network": network_to_data(net), "pairs": count})
-        )
-    return _report(
-        "valid-minor-sum", failures, 1, rat_str(lhs), rat_str(det_reduced)
-    )
+    return _alone(net, _minor_sum)
 
 
 @_guarded("signed-sum")
@@ -488,7 +493,7 @@ def _signed_sum(p: ForestPass) -> Finish:
     count = net.m - net.p + 1
     p.want()
 
-    def report(R: ResponseMatrices) -> Report:
+    def report(matrices: Matrices) -> Report:
         total = sum(
             sign * units
             for key, units in p.entries(count)
@@ -566,7 +571,7 @@ def _cancellation(p: ForestPass) -> Finish:
 
     # valid forests and non-valid forests with partitions
     p.want(lambda facts: facts.valid or bool(facts.partitions), add)
-    return lambda R: _report(
+    return lambda matrices: _report(
         "partition-cancellation", failures, checks, f"{checks} forests", "structure holds"
     )
 
@@ -686,7 +691,7 @@ def combinatorial_solution(circuit: Circuit) -> Solution:
 def _forest_solution(p: ForestPass, circuit: Circuit) -> Finish:
     solution = _solution(p, circuit)
 
-    def report(R: ResponseMatrices) -> Report:
+    def report(matrices: Matrices) -> Report:
         failures: list = []
         if solve(circuit) != solution():
             failures.append(
@@ -1025,22 +1030,20 @@ def random_network(
     return canonical_network(edges, superports)
 
 
-def random_circuit(
-    rng: random.Random, net: SuperportNetwork, *, value_max: int = 10
-) -> Circuit:
+def random_circuit(rng: random.Random, net: SuperportNetwork) -> Circuit:
+    """Random differences at the non-roots, numerators -10..10 over 1..10."""
     deltas = {
-        k: Fraction(rng.randint(-value_max, value_max), rng.randint(1, value_max))
-        for k in net.non_roots
+        k: Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for k in net.non_roots
     }
     return make_circuit(net, deltas)
 
 
 def random_xyzw(
-    rng: random.Random, m: int, *, max_pairs: int = 2
+    rng: random.Random, m: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Random ordered X, Y and unordered Z over the boundary 1..m; the rest
-    is the implied W."""
-    k = rng.randint(0, min(max_pairs, m // 2))
+    """Random ordered X, Y of at most two vertices each and unordered Z over
+    the boundary 1..m; the rest is the implied W."""
+    k = rng.randint(0, min(2, m // 2))
     chosen = rng.sample(range(1, m + 1), 2 * k)
     X, Y = tuple(chosen[:k]), tuple(chosen[k:])
     rest = [v for v in range(1, m + 1) if v not in chosen]
@@ -1068,7 +1071,7 @@ def _plan_solution(p: ForestPass, rng: Optional[random.Random]) -> list[Finish]:
 @_guarded("gluing")
 def _gluing(p: ForestPass, i: int) -> Finish:
     circuit = unit_circuit(p.net, i)
-    return lambda R: verify_gluing(circuit, i)
+    return lambda matrices: verify_gluing(circuit, i)
 
 
 # theorem -> asks the pass for what its reports read and returns the step
@@ -1087,20 +1090,14 @@ _PLANS = {
 }
 
 
-# the theorems whose finish steps read K, C or L; the others (signed sum and
-# cancellation, gluing, forest solution) are finished without them
-_READS_MATRICES = frozenset({"kirchhoff", "kw", "entries", "detl", "minorsum"})
-
-
-def _finish(steps: list[Finish], R: Optional[ResponseMatrices]) -> list[Report]:
-    return [step(R) for step in steps]
+def _finish(steps: list[Finish], matrices: Matrices) -> list[Report]:
+    return [step(matrices) for step in steps]
 
 
 # theorem -> makes its reports once the pass has run, from the grove table
-# and the network's K, C and L: the sums, the matrix side and the
-# comparisons.  Every entry is the same
-# function; one entry per theorem lets a caller wrap, and so time, each
-# theorem on its own.
+# and, if they read them, the network's K, C and L: the sums, the matrix
+# side and the comparisons.  Every entry is the same function; one entry
+# per theorem lets a caller wrap, and so time, each theorem on its own.
 THEOREMS = dict.fromkeys(_PLANS, _finish)
 
 
@@ -1115,11 +1112,11 @@ def run_verifications(
 
     Each theorem first asks for what its reports need; one enumeration then
     fills the grove table and hands each forest to the takers its key
-    admits; K, C and L are built once, if a theorem with reports reads them;
-    last, each theorem's THEOREMS entry sums the table and makes its
-    reports.  Checks whose preconditions
-    the network does not meet are skipped (a network with all-root boundary
-    has no response to verify).
+    admits, unless no theorem asked for the table; last, each theorem's
+    THEOREMS entry sums the table and makes its reports.  K, C and L are
+    built once, when the first report reads them.  Checks whose
+    preconditions the network does not meet are skipped (a network with
+    all-root boundary has no response to verify).
     """
     names = list(theorems)
     if "all" in names:
@@ -1130,8 +1127,7 @@ def run_verifications(
     p = ForestPass(net)
     plans = [(name, _PLANS[name](p, rng)) for name in names]
     p.run(cap=cap)
-    reads = any(steps for name, steps in plans if name in _READS_MATRICES)
-    matrices = response_matrices(net) if reads else None
+    matrices = functools.cache(lambda: response_matrices(net))
     reports: list[Report] = []
     for name, steps in plans:
         reports.extend(THEOREMS[name](steps, matrices))

@@ -407,6 +407,36 @@ class TestVerify:
         assert list(witness) == ["network", "forest", "error"]
         assert witness["error"] == "KeyError: 3"
 
+    def test_an_error_deciding_a_keys_facts_is_a_failed_report(self, capsys, monkeypatch):
+        def broken(*args):
+            raise IndexError("tuple index out of range")
+
+        monkeypatch.setattr("superport.forests.pattern_partitions", broken)
+        path = str(fixture_path("w-network.json"))
+        code, out, err = run_cli(capsys, "verify", path, "--seed", "0", "--format", "json")
+        assert (code, err) == (1, "")
+        failed = [r for r in json.loads(out) if r["status"] != "pass"]
+        assert failed
+        for r in failed:
+            assert list(r["witness"]) == ["network", "error"]
+            assert r["witness"]["error"] == "IndexError: tuple index out of range"
+
+    @pytest.mark.parametrize("theorem", ["gluing", "minorsum"])
+    def test_a_theorem_that_walks_no_forest_is_not_capped(
+        self, capsys, tmp_path, monkeypatch, theorem
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("forests walked for a theorem that reads none")
+
+        net = canonical_network([(v, v + 1, 1) for v in range(1, 30)], [[1, 2], [3, 4]])
+        path = write_network(tmp_path, net)
+        code, _, err = run_cli(capsys, "verify", path, "--theorem", "all")
+        assert (code, err) == (2, "CapExceeded: 29 edges exceed the enumeration cap 20\n")
+        monkeypatch.setattr("superport.forests.walk_forests", refuse)
+        code, out, err = run_cli(capsys, "verify", path, "--theorem", theorem)
+        assert (code, err) == (0, "")
+        assert out and all(": pass (" in line for line in out.splitlines())
+
     def test_too_many_minors_refused_before_any_forest(self, capsys, tmp_path, monkeypatch):
         # six 3-vertex superports before the last: 3**6 squared = 531,441 minors
         def refuse(*args, **kwargs):
@@ -521,15 +551,19 @@ class TestBoxH:
         assert code == 2
 
 
+# every subcommand that reads a file, with the options before its path
+FILE_COMMANDS = [
+    ["validate"], ["solve"], ["response"], ["forests"], ["verify"], ["count", "--gencayley"],
+]
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/nonexistent/net.json")
         assert code == 2
         assert "cannot read" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["validate"], ["solve"], ["response"], ["forests"], ["verify"], ["count", "--gencayley"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
     def test_directory_is_refused(self, capsys, tmp_path, argv):
         code, out, err = run_cli(capsys, *argv, str(tmp_path))
         assert code == 2
@@ -543,6 +577,16 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 2
         assert "JSON" in err or "SchemaError" in err
+
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+    def test_invalid_json_has_one_message(self, capsys, tmp_path, argv):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads("{not json")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"SchemaError: $: invalid JSON: {exc.value}\n"
 
     def test_schema_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -198,6 +198,20 @@ def test_response_is_built_only_when_read(monkeypatch, theorems, builds):
     assert len(c2l_calls) == builds
 
 
+@pytest.mark.parametrize("verifier, builds", [
+    (verify_signed_sum, 0),
+    (verify_cancellation, 0),
+    (verify_det_L, 1),
+    (verify_valid_minor_sum, 1),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_a_standalone_verifier_builds_the_response_only_if_it_reads_it(
+    monkeypatch, verifier, builds
+):
+    c2l_calls = count_calls(monkeypatch, c2l)
+    assert verifier(w_network(2, 3, 5, 7)).ok
+    assert len(c2l_calls) == builds
+
+
 def test_a_pass_is_freed_without_the_collector(monkeypatch):
     # the table lives as long as its pass; a reference cycle through the
     # pass would keep every table until the next full collection
@@ -525,6 +539,28 @@ def test_a_raising_finish_step_fails_its_report(monkeypatch):
     }
     others = run_verifications(net, ["detl", "signedsum"], rng=random.Random(0))
     assert others and all(r.ok for r in others)
+
+
+def test_an_error_deciding_a_keys_facts_fails_the_reports_that_read_them(monkeypatch):
+    net = w_network(2, 3, 5, 7)
+    expected = [r.to_data() for r in run_verifications(net, ["all"], rng=random.Random(0))]
+    raising(monkeypatch, pattern_partitions, IndexError("tuple index out of range"))
+    reports = [r.to_data() for r in run_verifications(net, ["all"], rng=random.Random(0))]
+    failed = [r for r in reports if r["status"] != "pass"]
+    # the takers lose their forests, and the finish steps that read facts fail
+    assert [r["theorem"] for r in failed] == [
+        "response-entries", "det-response", "signed-sum", "partition-cancellation",
+        "forest-solution",
+    ]
+    for r in failed:
+        assert r["witness"] == {
+            "network": network_to_data(net),
+            "error": "IndexError: tuple index out of range",
+        }
+    failing = {r["theorem"] for r in failed}
+    assert [r for r in reports if r["status"] == "pass"] == [
+        r for r in expected if r["theorem"] not in failing
+    ]
 
 
 def test_the_combinatorial_solution_raises_what_its_taker_raised(monkeypatch):

@@ -132,11 +132,10 @@ class TestResponseFromK:
 
     def test_response_matrices_bundle(self):
         net = w_network(2, 3, 5, 7)
-        bundle = response_matrices(net, extended=True)
+        bundle = response_matrices(net)
         assert bundle.kirchhoff == kirchhoff_matrix(net)
         assert bundle.response == electrical_response(net)
         assert bundle.superport_response == c2l(bundle.response, net.superports)
-        assert bundle.extended == extended_response(net)
 
     def test_bundle_without_non_roots(self):
         net = canonical_network([(1, 2, 1)], [[1], [2]])
