@@ -572,10 +572,12 @@ def dumps_circuit(circuit: Circuit) -> str:
 
 
 def loads_json(text: str):
-    """The value of a JSON text; malformed text is a SchemaError at "$"."""
+    """The value of a JSON text; malformed text, nesting too deep for the
+    parser or an integer literal over the digit limit, is a SchemaError at
+    "$"."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError("$", f"invalid JSON: {exc}")
 
 

@@ -3,8 +3,9 @@
 Each verifier computes both sides of one identity by genuinely independent
 routes: the matrix side by exact linear algebra on the response matrices,
 the combinatorial side by explicit enumeration of spanning forests.  All
-comparisons are exact rational equality; a failed comparison produces a
-report carrying the witness (network, indices, both values).
+comparisons are exact rational equality.  A report counts its comparisons
+and names the first that failed: its two sides, and a witness that holds
+the network and where the comparison was made, such as an entry or a forest.
 
 The forest side of every identity is read from one `ForestPass`, whose grove
 table adds the forests' integer units by (edge count, boundary pattern):
@@ -146,18 +147,37 @@ class Report:
         return data
 
 
-def _report(theorem: str, failures: list, checks: int, lhs, rhs) -> Report:
-    if failures:
-        flhs, frhs, witness = failures[0]
-        return Report(
-            theorem=theorem,
-            status="fail",
-            lhs=str(flhs),
-            rhs=str(frhs),
-            checks=checks,
-            witness=witness,
-        )
-    return Report(theorem=theorem, status="pass", lhs=str(lhs), rhs=str(rhs), checks=checks)
+class _Checks:
+    """The comparisons of one report: it counts them and keeps the first that
+    failed, whose witness holds the network, if the report has one, and
+    where the comparison was made."""
+
+    def __init__(self, theorem: str, net: Optional[SuperportNetwork] = None):
+        self.theorem = theorem
+        self.net = net
+        self.count = 0
+        self.failure: Optional[tuple] = None
+
+    def compare(self, lhs, rhs, **where) -> None:
+        """Count one check, and fail it if the two sides differ."""
+        self.count += 1
+        if lhs != rhs:
+            self.fail(lhs, rhs, **where)
+
+    def fail(self, lhs, rhs, **where) -> None:
+        """Record a failure, unless an earlier one is kept already."""
+        if self.failure is None:
+            if self.net is not None:
+                where = {"network": network_to_data(self.net), **where}
+            self.failure = (lhs, rhs, where)
+
+    def report(self, lhs, rhs) -> Report:
+        """The report: the first failure's sides and witness, or else the
+        sides given here."""
+        if self.failure is None:
+            return Report(self.theorem, "pass", str(lhs), str(rhs), self.count)
+        flhs, frhs, witness = self.failure
+        return Report(self.theorem, "fail", str(flhs), str(frhs), self.count, witness)
 
 
 # -- the forest side: one pass, sums by component count --------------------------
@@ -198,11 +218,10 @@ def _guarded(theorem: str):
                         raised = [(None, exc)]
                 forest, exc = raised[0]
                 error = f"{type(exc).__name__}: {exc}"
-                witness = {"network": network_to_data(p.net)}
-                if forest is not None:
-                    witness["forest"] = list(forest.edges)
-                witness["error"] = error
-                return _report(theorem, [(error, "no error", witness)], 0, None, None)
+                where = {} if forest is None else {"forest": list(forest.edges)}
+                checks = _Checks(theorem, p.net)
+                checks.fail(error, "no error", **where, error=error)
+                return checks.report(None, None)
 
             return report
 
@@ -233,20 +252,10 @@ def _kirchhoff(p: ForestPass) -> Finish:
     def report(matrices: Matrices) -> Report:
         C = matrices().response
         H = p.total("electrical")
-        failures: list = []
-        checks = 0
-
+        checks = _Checks("kirchhoff", net)
         det_reduced = C.submatrix(range(m - 1), range(m - 1)).det()
         ratio = p.total("trees") / H
-        checks += 1
-        if det_reduced != ratio:
-            failures.append(
-                (
-                    det_reduced,
-                    ratio,
-                    {"network": network_to_data(net), "part": 1},
-                )
-            )
+        checks.compare(det_reduced, ratio, part=1)
 
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
@@ -257,16 +266,8 @@ def _kirchhoff(p: ForestPass) -> Finish:
                 )
                 rhs = -p.weight(units, m - 1) / H
                 for lhs in (C.entry(i, j), C.entry(j, i)):
-                    checks += 1
-                    if lhs != rhs:
-                        failures.append(
-                            (
-                                lhs,
-                                rhs,
-                                {"network": network_to_data(net), "part": 2, "entry": [i, j]},
-                            )
-                        )
-        return _report("kirchhoff", failures, checks, rat_str(det_reduced), rat_str(ratio))
+                    checks.compare(lhs, rhs, part=2, entry=[i, j])
+        return checks.report(rat_str(det_reduced), rat_str(ratio))
 
     return report
 
@@ -321,22 +322,9 @@ def _kw_minor(
         lhs = matrices().response.take(xs + zs, ys + zs).det()
         factor = -1 if (signed and k % 2 == 1) else 1
         rhs = factor * p.weight(total, count) / p.total("electrical")
-        failures: list = []
-        if lhs != rhs:
-            failures.append(
-                (
-                    lhs,
-                    rhs,
-                    {
-                        "network": network_to_data(net),
-                        "X": list(xs),
-                        "Y": list(ys),
-                        "Z": list(zs),
-                        "signed": signed,
-                    },
-                )
-            )
-        return _report("kenyon-wilson", failures, 1, rat_str(lhs), rat_str(rhs))
+        checks = _Checks("kenyon-wilson", net)
+        checks.compare(lhs, rhs, X=list(xs), Y=list(ys), Z=list(zs), signed=signed)
+        return checks.report(rat_str(lhs), rat_str(rhs))
 
     return report
 
@@ -389,18 +377,10 @@ def _entries(p: ForestPass) -> Finish:
                     num[i, j] += pattern_sign(net, key[1], i, j) * units
         L = matrices().superport_response
         D = p.total("valid")
-        failures: list = []
+        checks = _Checks("response-entries", net)
         for (i, j), total in num.items():
-            rhs = p.weight(total, count) / D
-            lhs = L.entry(i, j)
-            if lhs != rhs:
-                failures.append(
-                    (lhs, rhs, {"network": network_to_data(net), "entry": [i, j]})
-                )
-        checks = len(num)
-        return _report(
-            "response-entries", failures, checks, f"{checks} entries", f"{checks} sums"
-        )
+            checks.compare(L.entry(i, j), p.weight(total, count) / D, entry=[i, j])
+        return checks.report(f"{checks.count} entries", f"{checks.count} sums")
 
     return report
 
@@ -421,10 +401,9 @@ def _det_L(p: ForestPass) -> Finish:
     def report(matrices: Matrices) -> Report:
         lhs = matrices().superport_response.det()
         rhs = p.total("trees") / p.total("valid")
-        failures: list = []
-        if lhs != rhs:
-            failures.append((lhs, rhs, {"network": network_to_data(net)}))
-        return _report("det-response", failures, 1, rat_str(lhs), rat_str(rhs))
+        checks = _Checks("det-response", net)
+        checks.compare(lhs, rhs)
+        return checks.report(rat_str(lhs), rat_str(rhs))
 
     return report
 
@@ -463,14 +442,9 @@ def _minor_sum(p: ForestPass) -> Finish:
                 total += C.take(I, J).det()
                 count += 1
         lhs = total * L.det()
-        failures: list = []
-        if lhs != det_reduced:
-            failures.append(
-                (lhs, det_reduced, {"network": network_to_data(net), "pairs": count})
-            )
-        return _report(
-            "valid-minor-sum", failures, 1, rat_str(lhs), rat_str(det_reduced)
-        )
+        checks = _Checks("valid-minor-sum", net)
+        checks.compare(lhs, det_reduced, pairs=count)
+        return checks.report(rat_str(lhs), rat_str(det_reduced))
 
     return report
 
@@ -501,10 +475,9 @@ def _signed_sum(p: ForestPass) -> Finish:
         )
         lhs = p.weight(total, count)
         rhs = p.total("valid")
-        failures: list = []
-        if lhs != rhs:
-            failures.append((lhs, rhs, {"network": network_to_data(net)}))
-        return _report("signed-sum", failures, 1, rat_str(lhs), rat_str(rhs))
+        checks = _Checks("signed-sum", net)
+        checks.compare(lhs, rhs)
+        return checks.report(rat_str(lhs), rat_str(rhs))
 
     return report
 
@@ -518,31 +491,19 @@ def verify_signed_sum(net: SuperportNetwork) -> Report:
 @_guarded("partition-cancellation")
 def _cancellation(p: ForestPass) -> Finish:
     net = p.net
-    failures: list = []
-    checks = 0
+    checks = _Checks("partition-cancellation", net)
 
     def fail(lhs, rhs, forest: Forest, note: str) -> None:
-        failures.append(
-            (
-                lhs,
-                rhs,
-                {
-                    "network": network_to_data(net),
-                    "forest": list(forest.edges),
-                    "note": note,
-                },
-            )
-        )
+        checks.fail(lhs, rhs, forest=list(forest.edges), note=note)
 
     m1 = net.m + 1
     counted: dict = {}  # key -> the signed count of its partitions
     faults: dict = {}  # (key, main-cycle ends) -> how the involution fails, or None
 
     def add(f: Forest, facts: PatternFacts) -> None:
-        nonlocal checks
         valid, _, parts = facts
+        checks.count += 1
         if valid:
-            checks += 1
             if len(parts) != 1:
                 fail(len(parts), 1, f, "valid forest partition count")
                 return
@@ -550,7 +511,6 @@ def _cancellation(p: ForestPass) -> Finish:
             if part.X or part.Y or sign != 1:
                 fail(str(part), "X=Y=empty, sign +1", f, "valid forest partition")
             return
-        checks += 1
         key = (len(f.edges), f.components[1:m1])
         if key not in counted:
             counted[key] = sum(sign for _, sign in parts)
@@ -571,9 +531,7 @@ def _cancellation(p: ForestPass) -> Finish:
 
     # valid forests and non-valid forests with partitions
     p.want(lambda facts: facts.valid or bool(facts.partitions), add)
-    return lambda matrices: _report(
-        "partition-cancellation", failures, checks, f"{checks} forests", "structure holds"
-    )
+    return lambda matrices: checks.report(f"{checks.count} forests", "structure holds")
 
 
 def _involution_fault(mc: MainCycle, parts) -> Optional[tuple]:
@@ -692,18 +650,12 @@ def _forest_solution(p: ForestPass, circuit: Circuit) -> Finish:
     solution = _solution(p, circuit)
 
     def report(matrices: Matrices) -> Report:
-        failures: list = []
+        checks = _Checks("forest-solution", p.net)
+        checks.count = 1
         if solve(circuit) != solution():
-            failures.append(
-                (
-                    "solver solution",
-                    "forest-formula solution",
-                    {"network": network_to_data(p.net), "deltas": [
-                        [k, rat_str(d)] for k, d in circuit.deltas
-                    ]},
-                )
-            )
-        return _report("forest-solution", failures, 1, "solver", "forest formulas")
+            deltas = [[k, rat_str(d)] for k, d in circuit.deltas]
+            checks.fail("solver solution", "forest-formula solution", deltas=deltas)
+        return checks.report("solver", "forest formulas")
 
     return report
 
@@ -772,34 +724,15 @@ def verify_gluing(circuit: Circuit, i: int) -> Report:
     quot_circuit, vmap = _glued_circuit(circuit, i)
     qsol = solve(quot_circuit)
 
-    failures: list = []
-    checks = 0
+    checks = _Checks("gluing", net)
     for u, v, c in net.edges:
-        quot_current = c * (
-            qsol.voltages[vmap[u] - 1] - qsol.voltages[vmap[v] - 1]
-        )
-        checks += 1
-        if quot_current != sol.currents[u - 1][v - 1]:
-            failures.append(
-                (
-                    sol.currents[u - 1][v - 1],
-                    quot_current,
-                    {"network": network_to_data(net), "i": i, "edge": [u, v]},
-                )
-            )
+        quot_current = c * (qsol.voltages[vmap[u] - 1] - qsol.voltages[vmap[v] - 1])
+        checks.compare(sol.currents[u - 1][v - 1], quot_current, i=i, edge=[u, v])
     const = qsol.voltages[vmap[1] - 1] - sol.voltages[0]
     for v in range(1, net.n + 1):
-        checks += 1
         diff = qsol.voltages[vmap[v] - 1] - sol.voltages[v - 1]
-        if diff != const:
-            failures.append(
-                (
-                    diff,
-                    const,
-                    {"network": network_to_data(net), "i": i, "vertex": v},
-                )
-            )
-    return _report("gluing", failures, checks, f"{checks} comparisons", "quotient agrees")
+        checks.compare(diff, const, i=i, vertex=v)
+    return checks.report(f"{checks.count} comparisons", "quotient agrees")
 
 
 # -- counting corollaries and Box-H ----------------------------------------------
@@ -826,10 +759,9 @@ def cayley_count(m: int, *, cap: Optional[int] = None) -> tuple[int, int]:
 
 def verify_cayley(m: int, *, cap: Optional[int] = None) -> Report:
     brute, closed = cayley_count(m, cap=cap)
-    failures: list = []
-    if brute != closed:
-        failures.append((brute, closed, {"m": m}))
-    return _report("tree-count", failures, 1, str(brute), str(closed))
+    checks = _Checks("tree-count")
+    checks.compare(brute, closed, m=m)
+    return checks.report(brute, closed)
 
 
 def _random_tree_edges(vertices: Sequence[int], rng: random.Random) -> list[tuple[int, int]]:
@@ -866,14 +798,7 @@ def verify_generalized_cayley(
     for s in sizes:
         groups.append(list(range(nxt, nxt + s)))
         nxt += s
-    net = canonical_network(
-        [
-            (u, v, Fraction(1))
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-        ],
-        groups,
-    )
+    net = canonical_network(complete_network(n).edges, groups)
     required: set[int] = set()
     pair_index = {(u, v): idx for idx, (u, v, _) in enumerate(net.edges)}
     for g in groups:
@@ -892,18 +817,12 @@ def verify_generalized_cayley(
             containing += 1
     closed = int(Fraction(n) ** (r - 2) * math.prod(sizes))
 
-    failures: list = []
+    checks = _Checks("grouped-tree-count")
+    checks.count = 1
     if not (valid_count == containing == closed):
-        failures.append(
-            (
-                f"valid={valid_count}, containing={containing}",
-                closed,
-                {"sizes": list(sizes)},
-            )
-        )
-    return _report(
-        "grouped-tree-count", failures, 1, f"{valid_count}/{containing}", str(closed)
-    )
+        counted = f"valid={valid_count}, containing={containing}"
+        checks.fail(counted, closed, sizes=list(sizes))
+    return checks.report(f"{valid_count}/{containing}", closed)
 
 
 def box_network(a, b, c, d) -> SuperportNetwork:
@@ -959,20 +878,14 @@ def verify_box_h(a, b, c, d) -> Report:
     out = box_h(a, b, c, d)
     box = box_network(a, b, c, d)
     h = h_network(out["A"], out["B"], out["C"], out["D"], out["E"])
-    L_box = response_matrices(box).superport_response
-    L_h = response_matrices(h).superport_response
-    failures: list = []
-    if L_box != L_h:
-        failures.append(
-            (
-                [[rat_str(x) for x in row] for row in L_box.entries],
-                [[rat_str(x) for x in row] for row in L_h.entries],
-                {"a": rat_str(a), "b": rat_str(b), "c": rat_str(c), "d": rat_str(d)},
-            )
-        )
-    return _report(
-        "box-h", failures, 1, "box response", "h response"
+    L_box, L_h = (
+        [[rat_str(x) for x in row] for row in response_matrices(n).superport_response.entries]
+        for n in (box, h)
     )
+    checks = _Checks("box-h")
+    sides = dict(zip("abcd", (rat_str(rat(x)) for x in (a, b, c, d))))
+    checks.compare(L_box, L_h, **sides)
+    return checks.report("box response", "h response")
 
 
 # -- random instances ---------------------------------------------------------------

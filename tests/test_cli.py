@@ -578,12 +578,20 @@ class TestErrorPaths:
         assert code == 2
         assert "JSON" in err or "SchemaError" in err
 
-    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
-    def test_invalid_json_has_one_message(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("argv, text", [
+        pytest.param(argv, text, id=argv[0] + suffix)
+        for suffix, text in [
+            ("", "{not json"),
+            ("-nested-too-deep", "[" * 200_000),
+            ("-integer-over-digit-limit", '{"vertices": %s}' % ("7" * 4301)),
+        ]
+        for argv in FILE_COMMANDS
+    ])
+    def test_invalid_json_has_one_message(self, capsys, tmp_path, argv, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(json.JSONDecodeError) as exc:
-            json.loads("{not json")
+        path.write_text(text)
+        with pytest.raises((RecursionError, ValueError)) as exc:
+            json.loads(text)
         code, out, err = run_cli(capsys, *argv, str(path))
         assert (code, out) == (2, "")
         assert err == f"SchemaError: $: invalid JSON: {exc.value}\n"

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in it or re-exported
 through its `__all__`; a package `__init__` re-exports what it imports.
 Every parameter of a module-level function, or of a public method, is read
-by its body."""
+by its body.  Every private module-level name is read somewhere in the
+package, so a helper whose last caller is gone goes too."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,52 @@ def test_scan_flags_an_unread_parameter():
         "def k(a):\n    return lambda: a\n"
     )
     assert unread_parameters(source) == ["f(b)", "_g(a)", "C.m(x)"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Each private module-level function, class or assigned name of the
+    given modules that no module reads, by name or as an attribute, as
+    "module: name"."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread.extend(
+                f"{path}: {name}" for name in names if not _is_public(name) and name not in read
+            )
+    return unread
+
+
+def test_no_unread_private_names():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_scan_flags_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "def _used():\n    pass\n"
+            "def _unused():\n    return _used()\n"
+            "class _Box:\n    pass\n"
+            "_LIMIT: int = 3\n"
+            "_SEEN = _OTHER = 0\n"
+            "__all__ = []\n"
+            "def public(_arg):\n    return _SEEN\n"
+        ),
+        "b.py": "import a\na._Box()\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _unused", "a.py: _LIMIT", "a.py: _OTHER"]

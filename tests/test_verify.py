@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,7 @@ from superport import (
     verify_signed_sum,
     verify_valid_minor_sum,
 )
+from superport import forests, verify
 from superport.forests import pattern_partition_sign
 
 from conftest import (
@@ -447,3 +451,74 @@ class TestRandomNetwork:
         a = random_network(random.Random(40))
         b = random_network(random.Random(40))
         assert a == b
+
+
+GOLDEN_FAILURES = Path(__file__).resolve().parent / "golden" / "failing_reports.json"
+
+
+def broken_reports(monkeypatch) -> list[dict]:
+    """Every theorem's report with the program broken under it, from the
+    outside: C doubled and L tripled, every partition sign -1, the solver's
+    currents doubled, the brute tree count one too many, no forest valid in
+    the grouped count, and the H's leg A doubled."""
+    real_matrices = verify.response_matrices
+
+    def scaled(net):
+        R = real_matrices(net)
+        L = R.superport_response
+        return dataclasses.replace(
+            R, response=R.response * 2, superport_response=None if L is None else L * 3
+        )
+
+    real_solve = verify.solve
+
+    def doubled(circuit):
+        sol = real_solve(circuit)
+        return dataclasses.replace(
+            sol, currents=tuple(tuple(2 * x for x in row) for row in sol.currents)
+        )
+
+    real_count = verify.cayley_count
+
+    def overcounted(m, **kw):
+        brute, closed = real_count(m, **kw)
+        return brute + 1, closed
+
+    real_box_h = verify.box_h
+
+    def longer_leg(*sides):
+        out = real_box_h(*sides)
+        return {**out, "A": 2 * out["A"]}
+
+    monkeypatch.setattr(verify, "response_matrices", scaled)
+    monkeypatch.setattr(forests, "pattern_partition_sign", lambda *args: -1)
+    monkeypatch.setattr(verify, "solve", doubled)
+    monkeypatch.setattr(verify, "cayley_count", overcounted)
+    monkeypatch.setattr(verify, "quotient_is_tree", lambda qg, f: False)
+    monkeypatch.setattr(verify, "box_h", longer_leg)
+    rng = random.Random(0)
+    reports = [
+        r
+        for _ in range(3)
+        for r in run_verifications(random_network(rng, require_nonroots=True), ["all"])
+    ]
+    reports += [verify_cayley(4), verify_generalized_cayley([2, 2]), verify_box_h(1, 2, 3, 4)]
+    return [r.to_data() for r in reports]
+
+
+def test_failing_reports_match_golden(monkeypatch):
+    # the witness of every theorem's first failure, pinned byte for byte
+    reports = broken_reports(monkeypatch)
+    text = json.dumps(reports, indent=1) + "\n"
+    assert text == GOLDEN_FAILURES.read_text(encoding="utf-8")
+    failed = {r["theorem"] for r in reports if r["status"] == "fail"}
+    assert len(failed) == 12
+
+
+def test_a_failing_box_h_report_takes_string_sides(monkeypatch):
+    # the witness prints each side as a rational, whatever form it came in
+    real_box_h = verify.box_h
+    monkeypatch.setattr(verify, "box_h", lambda *s: {**real_box_h(*s), "A": Fraction(7)})
+    report = verify_box_h("1", "2/4", Fraction(3), 4)
+    assert report.status == "fail"
+    assert report.witness == {"a": "1", "b": "1/2", "c": "3", "d": "4"}

@@ -103,6 +103,17 @@ MUTANTS = {
         "    a, e = min(loops)\n",
         "    a, e = max(loops)\n",
     ),
+    # the recorder every report makes its comparisons through
+    "checks-never-fail": (
+        "verify.py",
+        "        self.count += 1\n        if lhs != rhs:\n",
+        "        self.count += 1\n        if False:\n",
+    ),
+    "checks-keeps-last-failure": (
+        "verify.py",
+        "        if self.failure is None:\n            if self.net is not None:\n",
+        "        if True:\n            if self.net is not None:\n",
+    ),
     # the cancellation's involution check, shared per (key, main-cycle ends)
     "cancellation-shares-by-key-alone": (
         "verify.py",
