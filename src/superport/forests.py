@@ -23,21 +23,23 @@ superports: trees have 1 component; valid forests and the forests carrying
 XYZW partitions have m - p + 1; forests valid relative to a non-root have
 m - p; electrically valid forests, one boundary vertex per component, have
 m; forests whose quotient with k classes is a tree have n - k + 1; a
-Kirchhoff or Kenyon-Wilson grouping has one component per group.  Which
-forests of a family count, and with which sign, depends only on the edge
-count, which fixes the component count, and on the boundary pattern, which
-boundary vertices share a component; the weight sums by pattern are the
-grove partition functions of Kenyon and Wilson ("Boundary partitions in
-trees and dimers", Trans. AMS 2011).  So one enumeration serves every
-identity: `ForestPass` adds each forest's units into a grove table keyed by
-(edge count, pattern), and the `pattern_*` predicates decide validity,
-relative validity, forest signs, groupings and the signed partitions once
-per key, not once per forest.  The one enumeration loop, `walk_forests`,
-tracks the key as it joins components, so a forest costs neither a key
-tuple nor a hash, and a `Forest` is built only where one is read.  Only
-statements about single forests (the cancellation involution, the
-combinatorial voltages and currents) still take forests one by one, those
-whose key admits them; each such forest's
+Kenyon-Wilson grouping, Kirchhoff's being those with |X| = 0 and 1, has one
+component per group.  Which forests of a family count, and with which
+sign, depends only on the edge count, which fixes the component count, and
+on the boundary pattern, which boundary vertices share a component; the
+weight sums by pattern are the grove partition functions of Kenyon and
+Wilson ("Boundary partitions in trees and dimers", Trans. AMS 2011).  So
+one enumeration serves every identity: `ForestPass` adds each forest's
+units into a grove table keyed by (edge count, pattern), and every sum
+reads it the one way, `ForestPass.weight`: the units of the keys with a
+given component count, each times a sign that the `pattern_*` predicates
+decide once per key, not once per forest, from validity, relative
+validity, forest signs, groupings or the signed partitions.  The one
+enumeration loop, `walk_forests`, tracks the key as it joins components,
+so a forest costs neither a key tuple nor a hash, and a `Forest` is built
+only where one is read.  Only statements about single forests (the
+cancellation involution, the combinatorial voltages and currents) still
+take forests one by one, those whose key admits them; each such forest's
 main cycle is searched for directly, and the involution reads only its
 ends, which the cancellation shares per (key, ends).  The per-forest
 predicates (`quotient_is_tree`, `forest_sign`, `separates`, ...) stay as the
@@ -852,10 +854,10 @@ class ForestPass:
     `run` enumerates the forests once and fills the grove table: `units[key]`
     adds the integer units (see `Forest`) of the forests with key (edge
     count, boundary pattern).  Validity, relative validity, forest signs,
-    the signed partitions and every Kirchhoff or Kenyon-Wilson grouping
-    depend on the key alone, so the sums read the table and `facts` decides
-    each fact once per key, not once per forest; `weight` divides by the
-    scale once.  A statement about single forests registers a taker with
+    the signed partitions and every Kenyon-Wilson grouping depend on the
+    key alone, so `facts` decides each fact once per key, not once per
+    forest, and every sum reads the table through `weight`, each key signed
+    by its facts.  A statement about single forests registers a taker with
     `want`, with a test of facts that is decided on each key's first
     forest; the forests whose key passes reach the taker with the key's
     facts.  The walk tracks each forest's key (see `walk_forests`), and a
@@ -935,33 +937,13 @@ class ForestPass:
         for node in grove.values():
             node.takers = tuple(t for t in node.takers if t is not take)
 
-    def entries(self, count: int) -> Iterator[tuple[Key, int]]:
-        """The table entries of the forests with `count` components."""
+    def weight(self, count: int, sign: Callable[[Key], int] = lambda key: 1) -> Fraction:
+        """The one sum over the grove table: the weight of the forests with
+        `count` components, each key's units times `sign(key)`, divided by
+        the scale once."""
         edges = self.net.n - count
-        return ((key, units) for key, units in self.units.items() if key[0] == edges)
-
-    def weight(self, units: int, count: int) -> Fraction:
-        """The weight that `units` stands for in forests with `count` components."""
-        return Fraction(units, self.scale ** (self.net.n - count))
-
-    def _family(self, name: str) -> tuple[int, Callable[[Key], bool]]:
-        """A named family's component count, and which keys of that count
-        it sums: "trees" (1 component), "valid" (m - p + 1) or
-        "electrical", one boundary vertex in each of m components."""
-        m = self.net.m
-        return {
-            "trees": (1, lambda key: True),
-            "valid": (m - self.net.p + 1, lambda key: self.facts(key).valid),
-            "electrical": (m, lambda key: len(set(key[1])) == m),
-        }[name]
-
-    def tally(self, name: str) -> int:
-        """The units of a named family."""
-        count, keep = self._family(name)
-        return sum(units for key, units in self.entries(count) if keep(key))
-
-    def total(self, name: str) -> Fraction:
-        return self.weight(self.tally(name), self._family(name)[0])
+        units = sum(sign(key) * units for key, units in self.units.items() if key[0] == edges)
+        return Fraction(units, self.scale ** edges)
 
     def facts(self, key: Key) -> PatternFacts:
         """Validity, relative validity and the signed partitions of the

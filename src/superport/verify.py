@@ -7,33 +7,38 @@ comparisons are exact rational equality.  A report counts its comparisons
 and names the first that failed: its two sides, and a witness that holds
 the network and where the comparison was made, such as an entry or a forest.
 
-The forest side of every identity is read from one `ForestPass`, whose grove
-table adds the forests' integer units by (edge count, boundary pattern):
-trees (1 component) for Kirchhoff and det L; valid forests (m - p + 1) for
-the entries, det L, the signed sum and the voltages; forests valid relative
-to a non-root (m - p) for the entries; electrically valid forests (m) for
-Kirchhoff and every Kenyon-Wilson minor; pairing forests (m - 1) for
-Kirchhoff's entries; and each minor's groupings (one component per group).
-Each sum runs over table entries and decides validity, signs, groupings and
-signed partitions once per key.  The statements about single forests, the
-cancellation involution and the combinatorial voltages and currents,
-register takers on the pass instead, which receive each forest whose key
-admits it; the cancellation checks its involution once per key and
-main-cycle ends.  `run_verifications` registers what every requested theorem
-needs, enumerates once if any of them reads forests, and then lets each
-theorem sum and compare; K, C and L are built once, by the first report
-that reads them.  A standalone verifier runs the same sums on a pass of its
-own, through the same steps.  An exception raised inside a taker, while the
-pass decides a key's facts, or in a finish step is the program's fault, not
-the identity's, but it still makes a failed report, whose witness names the
-error, and the other reports run on.
+The forest side of every identity is one signed sum over the grove table of
+one `ForestPass`, which adds the forests' integer units by (edge count,
+boundary pattern): `weight(count, sign)` adds the units of the keys with
+`count` components, each times `sign(key)`, and divides by the scale once.
+Trees (1 component) take sign 1; valid forests (m - p + 1) their validity;
+the entries of L the forest sign on forests valid relative to both
+non-roots (m - p); the signed sum each key's signed partitions.  Kirchhoff's
+two parts are the Kenyon-Wilson all-minors formula with |X| = 0 (Z = 1..m-1,
+whose one group is {m}: the trees) and |X| = 1 (C_i^j, whose groups pair i
+with j: m - 1 components), so one helper makes both sides of every minor,
+each key signed by the permutation its pattern pairs, over the electrically
+valid forests (m, one boundary vertex each).  Validity, signs, groupings
+and signed partitions are decided once per key.  The statements about
+single forests, the cancellation involution and the combinatorial voltages
+and currents, register takers on the pass instead, which receive each
+forest whose key admits it; the cancellation checks its involution once per
+key and main-cycle ends.  `run_verifications` registers what every
+requested theorem needs, enumerates once if any of them reads forests, and
+then lets each theorem sum and compare; K, C and L are built once, by the
+first report that reads them.  A standalone verifier runs the same sums on
+a pass of its own, through the same steps.  An exception raised inside a
+taker, while the pass decides a key's facts, or in a finish step is the
+program's fault, not the identity's, but it still makes a failed report,
+whose witness names the error, and the other reports run on.
 
 Identities covered:
 
-* Kirchhoff: det of the reduced electrical response as a tree/forest weight
-  ratio, and every off-diagonal response entry as a grouped forest sum;
 * the all-minors formula for the electrical response (with the corrected
-  leading sign, which `signed=False` deliberately drops to expose);
+  leading sign, which `signed=False` deliberately drops to expose), and
+  Kirchhoff's identities as its minors with |X| = 0 and 1: det of the
+  reduced response as a tree/forest weight ratio, and every off-diagonal
+  response entry as a grouped forest sum;
 * the entries and the determinant of the superport response as signed valid
   forest sums;
 * the valid-minor sum identity tying det L to det of the reduced response;
@@ -61,6 +66,7 @@ from .forests import (
     Forest,
     ForestIsValid,
     ForestPass,
+    Key,
     MainCycle,
     PatternFacts,
     check_cap,
@@ -73,7 +79,7 @@ from .forests import (
     quotient_is_tree,
     quotient_path,
 )
-from .linalg import rat, rat_str
+from .linalg import Matrix, rat, rat_str
 from .network import (
     Circuit,
     Solution,
@@ -242,6 +248,41 @@ def _alone(net: SuperportNetwork, build, *args) -> Report:
 # -- Kirchhoff and Kenyon-Wilson (electrical identities) ---------------------------
 
 
+def _electrical(p: ForestPass) -> Fraction:
+    """The weight of the forests with one boundary vertex in each of m components."""
+    m = p.net.m
+    return p.weight(m, lambda key: len(set(key[1])) == m)
+
+
+def _all_minors(
+    p: ForestPass, C: Matrix, X: tuple, Y: tuple, Z: tuple, electrical: Fraction, signed=True
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the all-minors formula: det C.take(X + Z, Y + Z), and
+    (-1)^|X| (dropped when not `signed`) times the weight of the forests
+    whose groups pair each x_t with y_pi(t) and isolate the rest of the
+    boundary, each signed by sgn(pi), over the electrical weight."""
+    W = tuple(v for v in range(1, p.net.m + 1) if v not in {*X, *Y, *Z})
+    k = len(X)
+
+    def sign(key: Key) -> int:
+        """sgn(pi) for the permutation pi whose groups the key's pattern
+        separates, 0 if there is none.  There is at most one: each x_t must
+        share its component with exactly one y, and that y is y_pi(t)."""
+        pattern = key[1]
+        y_in = {pattern[y - 1]: s for s, y in enumerate(Y)}
+        pi = [y_in.get(pattern[x - 1]) for x in X]
+        if None in pi:
+            return 0
+        groups = [*zip(X, (Y[s] for s in pi)), *((w,) for w in W)]
+        if not pattern_separates(pattern, groups):
+            return 0
+        return permutation_parity(dict(enumerate(pi)))
+
+    lhs = C.take(X + Z, Y + Z).det()
+    factor = -1 if (signed and k % 2 == 1) else 1
+    return lhs, factor * p.weight(k + len(W), sign) / electrical
+
+
 @_guarded("kirchhoff")
 def _kirchhoff(p: ForestPass) -> Finish:
     net, m = p.net, p.net.m
@@ -251,21 +292,16 @@ def _kirchhoff(p: ForestPass) -> Finish:
 
     def report(matrices: Matrices) -> Report:
         C = matrices().response
-        H = p.total("electrical")
+        H = _electrical(p)
         checks = _Checks("kirchhoff", net)
-        det_reduced = C.submatrix(range(m - 1), range(m - 1)).det()
-        ratio = p.total("trees") / H
+        # part 1 is the minor with Z = 1..m-1: one group, {m}, so trees
+        det_reduced, ratio = _all_minors(p, C, (), (), tuple(range(1, m)), H)
         checks.compare(det_reduced, ratio, part=1)
-
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
-                # i and j share a component, every other boundary vertex has its own
-                groups = [(i, j), *((v,) for v in range(1, m + 1) if v not in (i, j))]
-                units = sum(
-                    u for key, u in p.entries(m - 1) if pattern_separates(key[1], groups)
-                )
-                rhs = -p.weight(units, m - 1) / H
-                for lhs in (C.entry(i, j), C.entry(j, i)):
+                # part 2 is the 1x1 minor C_i^j; C_j^i has the same forest side
+                entry, rhs = _all_minors(p, C, (i,), (j,), (), H)
+                for lhs in (entry, C.entry(j, i)):
                     checks.compare(lhs, rhs, part=2, entry=[i, j])
         return checks.report(rat_str(det_reduced), rat_str(ratio))
 
@@ -273,14 +309,14 @@ def _kirchhoff(p: ForestPass) -> Finish:
 
 
 def verify_kirchhoff(net: SuperportNetwork) -> Report:
-    """Both parts of the electrical matrix-tree identity.
+    """Both parts of the electrical matrix-tree identity, as the all-minors
+    formula with |X| = 0 and |X| = 1.
 
     (1) det of the response with the last row and column dropped equals the
     tree-weight sum over the valid-forest-weight sum; (2) for i < j the
-    response entry C_i^j is minus the weight sum of (m-1)-component forests
-    pairing i with j and isolating every other boundary vertex, over the
-    same denominator.  Part 2 reads the table entries of the forests with
-    m - 1 components.
+    response entries C_i^j and C_j^i are minus the weight sum of
+    (m-1)-component forests pairing i with j and isolating every other
+    boundary vertex, over the same denominator.
     """
     return _alone(net, _kirchhoff)
 
@@ -289,7 +325,7 @@ def verify_kirchhoff(net: SuperportNetwork) -> Report:
 def _kw_minor(
     p: ForestPass, X: Sequence[int], Y: Sequence[int], Z: Sequence[int], signed: bool = True
 ) -> Finish:
-    net, m = p.net, p.net.m
+    net = p.net
     xs, ys, zs = tuple(X), tuple(Y), tuple(Z)
     if len(xs) != len(ys):
         raise ValueError("|X| and |Y| must agree")
@@ -300,28 +336,9 @@ def _kw_minor(
         if not net.is_boundary(v):
             raise ValueError(f"vertex {v} is not a boundary vertex")
     p.want()
-    W = tuple(v for v in range(1, m + 1) if v not in set(pooled))
-    k = len(xs)
-    count = k + len(W)  # one component per group
-
-    def sign(pattern: tuple[int, ...]) -> int:
-        """sgn(pi) for the permutation pi whose groups the pattern separates,
-        0 if there is none.  There is at most one: each x_t must share its
-        component with exactly one y, and that y is y_pi(t)."""
-        y_in = {pattern[y - 1]: s for s, y in enumerate(ys)}
-        pi = [y_in.get(pattern[x - 1]) for x in xs]
-        if None in pi:
-            return 0
-        groups = [*zip(xs, (ys[s] for s in pi)), *((w,) for w in W)]
-        if not pattern_separates(pattern, groups):
-            return 0
-        return permutation_parity(dict(enumerate(pi)))
 
     def report(matrices: Matrices) -> Report:
-        total = sum(sign(key[1]) * units for key, units in p.entries(count))
-        lhs = matrices().response.take(xs + zs, ys + zs).det()
-        factor = -1 if (signed and k % 2 == 1) else 1
-        rhs = factor * p.weight(total, count) / p.total("electrical")
+        lhs, rhs = _all_minors(p, matrices().response, xs, ys, zs, _electrical(p), signed)
         checks = _Checks("kenyon-wilson", net)
         checks.compare(lhs, rhs, X=list(xs), Y=list(ys), Z=list(zs), signed=signed)
         return checks.report(rat_str(lhs), rat_str(rhs))
@@ -358,6 +375,12 @@ def _need_non_roots(net: SuperportNetwork) -> None:
         raise NoNonRootVertices("every boundary vertex is a root")
 
 
+def _valid(p: ForestPass) -> Fraction:
+    """The weight of the valid forests, which have m - p + 1 components."""
+    net = p.net
+    return p.weight(net.m - net.p + 1, lambda key: p.facts(key).valid)
+
+
 @_guarded("response-entries")
 def _entries(p: ForestPass) -> Finish:
     net = p.net
@@ -368,18 +391,22 @@ def _entries(p: ForestPass) -> Finish:
     # forests valid relative to any non-root all have m - p components
     count = net.m - net.p
 
+    def signed(i: int, j: int) -> Callable[[Key], int]:
+        """forest_sign(i, j) on the keys valid relative to i and j, else 0."""
+
+        def sign(key: Key) -> int:
+            relative = p.facts(key).relative
+            return pattern_sign(net, key[1], i, j) if i in relative and j in relative else 0
+
+        return sign
+
     def report(matrices: Matrices) -> Report:
-        num = {(i, j): 0 for i in nr for j in nr}
-        for key, units in p.entries(count):
-            rel = p.facts(key).relative
-            for i in rel:
-                for j in rel:
-                    num[i, j] += pattern_sign(net, key[1], i, j) * units
         L = matrices().superport_response
-        D = p.total("valid")
+        D = _valid(p)
         checks = _Checks("response-entries", net)
-        for (i, j), total in num.items():
-            checks.compare(L.entry(i, j), p.weight(total, count) / D, entry=[i, j])
+        for i in nr:
+            for j in nr:
+                checks.compare(L.entry(i, j), p.weight(count, signed(i, j)) / D, entry=[i, j])
         return checks.report(f"{checks.count} entries", f"{checks.count} sums")
 
     return report
@@ -400,7 +427,7 @@ def _det_L(p: ForestPass) -> Finish:
 
     def report(matrices: Matrices) -> Report:
         lhs = matrices().superport_response.det()
-        rhs = p.total("trees") / p.total("valid")
+        rhs = p.weight(1) / _valid(p)
         checks = _Checks("det-response", net)
         checks.compare(lhs, rhs)
         return checks.report(rat_str(lhs), rat_str(rhs))
@@ -468,13 +495,8 @@ def _signed_sum(p: ForestPass) -> Finish:
     p.want()
 
     def report(matrices: Matrices) -> Report:
-        total = sum(
-            sign * units
-            for key, units in p.entries(count)
-            for _, sign in p.facts(key).partitions
-        )
-        lhs = p.weight(total, count)
-        rhs = p.total("valid")
+        lhs = p.weight(count, lambda key: sum(sign for _, sign in p.facts(key).partitions))
+        rhs = _valid(p)
         checks = _Checks("signed-sum", net)
         checks.compare(lhs, rhs)
         return checks.report(rat_str(lhs), rat_str(rhs))
@@ -599,10 +621,10 @@ def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
     p.want(lambda facts: any(i in facts.relative for i, _, _ in terms), add_currents)
 
     def solution() -> Solution:
-        # voltage sums run over valid forests and current sums over forests
-        # with one edge more, so against the valid total only one factor of
-        # the scale is left, on the currents
-        valid = p.tally("valid")
+        # voltage sums add the units of valid forests and current sums those
+        # of forests with one edge more, so against the valid forests' units
+        # only one factor of the scale is left, on the currents
+        valid = _valid(p) * p.scale ** (n - (m - net.p + 1))
         voltages = tuple(
             sum((du * (volt[i][v] - volt[i][m]) for i, du, _ in terms), Fraction(0)) / valid
             for v in range(1, n + 1)
@@ -712,12 +734,7 @@ def verify_gluing(circuit: Circuit, i: int) -> Report:
     Requires the circuit to prescribe difference 1 at i and 0 elsewhere.
     """
     net = circuit.network
-    if i not in net.non_roots:
-        raise ValueError(f"vertex {i} is not a non-root boundary vertex")
-    expected = {
-        k: (Fraction(1) if k == i else Fraction(0)) for k in net.non_roots
-    }
-    if circuit.delta_map != expected:
+    if circuit.delta_map != unit_circuit(net, i).delta_map:
         raise ValueError("gluing requires difference 1 at i and 0 elsewhere")
 
     sol = solve(circuit)

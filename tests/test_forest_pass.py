@@ -10,6 +10,7 @@ import itertools
 import random
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +297,54 @@ def test_pattern_predicates_match_the_forest_route(seed, interior):
         assert facts.valid == is_valid(f, net)
         assert facts.relative == tuple(i for i in nr if is_relatively_valid(f, net, i))
         assert facts.partitions == tuple(signed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_the_one_sum_matches_the_forest_route(seed, interior):
+    # every family the verifiers sum, through ForestPass.weight, against the
+    # same family weighed forest by forest
+    rng = random.Random(seed)
+    net = redrawn_boundary(random_network(rng, max_n=6, max_edges=9), rng, interior)
+    m, nr = net.m, net.non_roots
+    p = ForestPass(net)
+    p.want()
+    p.run()
+    ensemble = ForestEnsemble(net)
+    valid = m - net.p + 1
+    assert p.weight(1) == ensemble.tree_weight()
+    assert p.weight(valid, lambda key: p.facts(key).valid) == ensemble.valid_weight()
+    for i in nr:
+        relative = p.weight(valid - 1, lambda key: i in p.facts(key).relative)
+        assert relative == ensemble.quotient_tree_weight(net.quotient((i,)))
+    groupings = [[(v,) for v in range(1, m + 1)]]
+    for _ in range(3):
+        X, Y, Z = random_xyzw(rng, m)
+        W = [v for v in range(1, m + 1) if v not in (*X, *Y, *Z)]
+        groupings.append([*zip(X, Y), *((w,) for w in W)])
+    for groups in groupings:
+        grouped = p.weight(len(groups), lambda key: pattern_separates(key[1], groups))
+        assert grouped == ensemble.grouped_weight(groups)
+    # a sign of -1 or 0 counts: the forest signs and the signed partitions
+    for i in nr:
+        for j in nr:
+            both = [
+                f for f in ensemble.with_components(valid - 1)
+                if is_relatively_valid(f, net, i) and is_relatively_valid(f, net, j)
+            ]
+            signed = p.weight(valid - 1, lambda key: (
+                pattern_sign(net, key[1], i, j) if {i, j} <= {*p.facts(key).relative} else 0
+            ))
+            assert signed == sum((forest_sign(f, net, i, j) * f.weight for f in both), Fraction(0))
+    partitions = p.weight(valid, lambda key: sum(sign for _, sign in p.facts(key).partitions))
+    assert partitions == sum(
+        (
+            partition_sign(net, f, part) * f.weight
+            for f in ensemble.with_components(valid)
+            for part in partitions_for_forest(net, f)
+        ),
+        Fraction(0),
+    )
 
 
 def shared_key_network():

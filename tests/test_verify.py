@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from superport import (
     CapExceeded,
     ForestEnsemble,
+    Matrix,
     NoNonRootVertices,
     Report,
     box_h,
@@ -94,6 +96,30 @@ class TestKirchhoff:
         net = canonical_network([(1, 2, 1)], [[1]])
         with pytest.raises(ValueError):
             verify_kirchhoff(net)
+
+    def test_part_2_compares_both_orientations(self, monkeypatch):
+        # C is symmetric, so only a C whose C_m^1 alone is off shows that
+        # each pair's forest sum is compared with C_j^i as well as C_i^j;
+        # row m is not in part 1's minor
+        real = verify.response_matrices
+        net = w_network(2, 3, 5, 7)
+        m = net.m
+
+        def skewed(net):
+            R = real(net)
+            C = R.response
+            entries = [list(row) for row in C.entries]
+            entries[C.row_pos(m)][C.col_pos(1)] += 1
+            return dataclasses.replace(
+                R, response=Matrix(entries, C.row_labels, C.col_labels)
+            )
+
+        monkeypatch.setattr(verify, "response_matrices", skewed)
+        report = verify_kirchhoff(net)
+        C = real(net).response
+        assert report.status == "fail"
+        assert report.witness["part"] == 2 and report.witness["entry"] == [1, m]
+        assert (report.lhs, report.rhs) == (str(C.entry(m, 1) + 1), str(C.entry(1, m)))
 
 
 class TestKenyonWilson:
@@ -423,6 +449,80 @@ class TestRunner:
         )
         assert before == after
         assert all(r["status"] == "pass" for r in before)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_permuting_the_non_roots_of_a_superport(self, seed):
+        # new labels for the non-roots of one superport, its root kept: the
+        # canonical labels sort each superport, so vertex v becomes sigma(v),
+        # and L comes out permuted by sigma
+        rng = random.Random(seed)
+        base = random_network(rng, max_n=7, max_edges=11)
+        while base.n < 3:
+            base = random_network(rng, max_n=7, max_edges=11)
+        size = rng.randint(3, base.n)
+        boundary = rng.sample(range(1, base.n + 1), rng.randint(size, base.n))
+        superports = [boundary[:size], boundary[size:]] if len(boundary) > size else [boundary]
+        net = canonical_network(base.edges, superports)
+        moving = list(net.superports[0][:-1])
+        image = rng.sample(moving, len(moving))
+        if image == moving:
+            image = moving[1:] + moving[:1]
+        sigma = {v: v for v in range(1, net.n + 1)}
+        sigma.update(zip(moving, image))
+        moved = canonical_network(
+            [(sigma[u], sigma[v], c) for u, v, c in net.edges],
+            [[sigma[v] for v in sp] for sp in net.superports],
+        )
+        assert moved.superports == net.superports
+        L = response_matrices(net).superport_response
+        L_moved = response_matrices(moved).superport_response
+        for i in net.non_roots:
+            for j in net.non_roots:
+                assert L_moved.entry(sigma[i], sigma[j]) == L.entry(i, j)
+        verify_seed = rng.randrange(2**32)
+        for candidate in (net, moved):
+            reports = run_verifications(candidate, ["all"], rng=random.Random(verify_seed))
+            assert reports and all(r.ok for r in reports)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_star_mesh_elimination_of_an_interior_vertex(self, seed):
+        # interior vertex v goes, and each pair u, w of its neighbours gains
+        # c_uv c_vw / (sum of v's conductances), added to any edge u, w there
+        # is: the Schur complement of K onto the other vertices, so C and L
+        # stay.  The forests, the scale and the grove table all change, so
+        # the ratios that the forest side makes of the two tables must agree
+        rng = random.Random(seed)
+        net = random_network(rng, max_n=7, max_edges=11, require_nonroots=True)
+        while net.n == net.m:
+            net = random_network(rng, max_n=7, max_edges=11, require_nonroots=True)
+        v = rng.randint(net.m + 1, net.n)
+        star = dict(net.adjacency[v])
+        total = sum(star.values())
+        merged = {(a, b): c for a, b, c in net.edges if v not in (a, b)}
+        for a, b in itertools.combinations(sorted(star), 2):
+            merged[a, b] = merged.get((a, b), 0) + star[a] * star[b] / total
+        mesh = canonical_network(
+            [(a, b, c) for (a, b), c in merged.items()], [list(sp) for sp in net.superports]
+        )
+        assert mesh.n == net.n - 1 and mesh.superports == net.superports
+        base, after = response_matrices(net), response_matrices(mesh)
+        assert after.response == base.response
+        assert after.superport_response == base.superport_response
+        verify_seed = rng.randrange(2**32)
+        on_net, on_mesh = (
+            [r.to_data() for r in run_verifications(
+                candidate, ["all"], rng=random.Random(verify_seed)
+            )]
+            for candidate in (net, mesh)
+        )
+        assert all(r["status"] == "pass" for r in on_net + on_mesh)
+        # these reports print only the matrix side and the forest side's ratios
+        ratios = {"kirchhoff", "kenyon-wilson", "response-entries", "det-response"}
+        assert [r for r in on_net if r["theorem"] in ratios] == [
+            r for r in on_mesh if r["theorem"] in ratios
+        ]
 
 
 class TestRandomNetwork:

@@ -177,9 +177,20 @@ MUTANTS = {
         "    return sum(map(len, comps)) == len(groups)",
     ),
     "electrical-family-allows-interior": (
+        "verify.py",
+        "p.weight(m, lambda key: len(set(key[1])) == m)",
+        "p.weight(m, lambda key: True)",
+    ),
+    # the one signed sum over the grove table, and Kirchhoff as its minors
+    "weight-drops-sign": (
         "forests.py",
-        '"electrical": (m, lambda key: len(set(key[1])) == m)',
-        '"electrical": (m, lambda key: True)',
+        "sum(sign(key) * units for key, units in self.units.items()",
+        "sum(units for key, units in self.units.items()",
+    ),
+    "kirchhoff-one-orientation": (
+        "verify.py",
+        "for lhs in (entry, C.entry(j, i)):",
+        "for lhs in (entry, C.entry(i, j)):",
     ),
     # the matrix side
     "c2l-step-2-adds": (
