@@ -35,8 +35,8 @@ from .network import (
     NetworkError,
     SchemaError,
     load_circuit,
+    load_json,
     load_network,
-    loads_json,
     network_from_data,
     network_to_data,
     solution_to_data,
@@ -69,14 +69,10 @@ def _print_matrix(matrix: Matrix, name: str) -> None:
         print(f"  {label}: " + " ".join(rat_str(x) for x in row))
 
 
-def _load_raw(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_json(handle.read())
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    raw = _load_raw(args.network)
-    net, mapping = network_from_data(raw, merge_parallel=args.merge_parallel)
+    net, mapping = network_from_data(
+        load_json(args.network), merge_parallel=args.merge_parallel
+    )
     if args.format == "json":
         print(json.dumps(network_to_data(net), indent=2))
     else:
@@ -221,7 +217,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         else:
             print(report.lhs)
         return 0 if report.ok else 1
-    data = _load_raw(args.gencayley)
+    data = load_json(args.gencayley)
     if not isinstance(data, dict) or not isinstance(data.get("sizes"), list):
         print('gencayley file must be {"sizes": [..]}', file=sys.stderr)
         return 2

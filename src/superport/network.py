@@ -14,6 +14,10 @@ by `validate_and_canonicalize`:
 Input files may use arbitrary positive integer vertex labels; the validator
 returns the old-to-new label mapping alongside the canonical network.
 
+One loader path: `load_json` reads every file, and `validate_and_canonicalize`
+(also named `network_from_data`) is the one check of a network description,
+a circuit's included; a circuit's delta errors name the file's labels.
+
 An electrical network is the special case of a single superport: current is
 prescribed to balance over the whole boundary and voltages are prescribed
 against the last boundary vertex.
@@ -25,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .linalg import rat, rat_str
 
@@ -48,6 +52,7 @@ __all__ = [
     "dumps_circuit",
     "dumps_network",
     "load_circuit",
+    "load_json",
     "load_network",
     "loads_circuit",
     "loads_json",
@@ -242,35 +247,41 @@ class Solution:
 # -- validation and canonical labeling ----------------------------------------
 
 
-def _coerce_edge(item: object, path: str) -> tuple[int, int, Fraction]:
+def _coerce_edge(item: object, idx: int) -> tuple[int, int, Fraction]:
+    """The (u, v, conductance) of edge number idx, unchecked beyond its types."""
     if isinstance(item, Mapping):
         for key in ("u", "v", "c"):
             if key not in item:
-                raise SchemaError(path, f"missing edge field {key!r}")
+                raise SchemaError(f"edges[{idx}]", f"missing edge field {key!r}")
         extra = set(item) - {"u", "v", "c"}
         if extra:
-            raise SchemaError(path, f"unknown edge fields {sorted(extra)}")
+            raise SchemaError(f"edges[{idx}]", f"unknown edge fields {sorted(extra)}")
         u, v, c = item["u"], item["v"], item["c"]
     else:
         try:
             u, v, c = item  # type: ignore[misc]
         except (TypeError, ValueError):
-            raise SchemaError(path, "edge must be a (u, v, c) triple or object")
+            raise SchemaError(f"edges[{idx}]", "edge must be a (u, v, c) triple or object")
     if not isinstance(u, int) or isinstance(u, bool):
-        raise SchemaError(f"{path}.u", "vertex label must be an integer")
+        raise SchemaError(f"edges[{idx}].u", "vertex label must be an integer")
     if not isinstance(v, int) or isinstance(v, bool):
-        raise SchemaError(f"{path}.v", "vertex label must be an integer")
+        raise SchemaError(f"edges[{idx}].v", "vertex label must be an integer")
     try:
         cond = rat(c)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}.c", str(exc))
+        raise SchemaError(f"edges[{idx}].c", str(exc))
     return u, v, cond
 
 
 def validate_and_canonicalize(
-    raw: Mapping, *, merge_parallel: bool = False
+    raw: object, *, merge_parallel: bool = False
 ) -> tuple[SuperportNetwork, dict[int, int]]:
     """Validate a raw description and relabel it into canonical form.
+
+    This is the only check of a network description.  Anything but an
+    object, or an object with a field other than "vertices", "edges" and
+    "superports", is a SchemaError at "$"; every other fault is a
+    SchemaError naming its field, or a NetworkError subclass.
 
     Returns (network, mapping) where mapping sends original labels to
     canonical ones.  Boundary vertices are numbered first, superport by
@@ -281,6 +292,11 @@ def validate_and_canonicalize(
     With merge_parallel=True, repeated edges are first combined by summing
     their conductances; otherwise they raise MultiEdge.
     """
+    if not isinstance(raw, Mapping):
+        raise SchemaError("$", "network description must be an object")
+    extra = set(raw) - {"vertices", "edges", "superports"}
+    if extra:
+        raise SchemaError("$", f"unknown fields {sorted(extra)}")
     for key in ("vertices", "edges", "superports"):
         if key not in raw:
             raise SchemaError(key, "missing required field")
@@ -296,9 +312,9 @@ def validate_and_canonicalize(
     if len(superports_raw) == 0:
         raise SchemaError("superports", "at least one superport is required")
 
-    edges: list[tuple[int, int, Fraction]] = []
+    merged: dict[tuple[int, int], Fraction] = {}
     for idx, item in enumerate(edges_raw):
-        u, v, c = _coerce_edge(item, f"edges[{idx}]")
+        u, v, c = _coerce_edge(item, idx)
         if u < 1 or v < 1:
             raise SchemaError(f"edges[{idx}]", "vertex labels must be positive")
         if c <= 0:
@@ -309,10 +325,6 @@ def validate_and_canonicalize(
             raise LoopEdge(f"edges[{idx}]: loop at vertex {u}")
         if u > v:
             u, v = v, u
-        edges.append((u, v, c))
-
-    merged: dict[tuple[int, int], Fraction] = {}
-    for u, v, c in edges:
         if (u, v) in merged:
             if not merge_parallel:
                 raise MultiEdge(f"repeated edge between {u} and {v}")
@@ -325,19 +337,16 @@ def validate_and_canonicalize(
     for k, sp in enumerate(superports_raw):
         if not isinstance(sp, Sequence) or isinstance(sp, (str, bytes)):
             raise SchemaError(f"superports[{k}]", "must be a list of vertex labels")
-        members = []
-        for j, v in enumerate(sp):
+        members = list(sp)
+        for j, v in enumerate(members):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise SchemaError(
                     f"superports[{k}][{j}]", "vertex label must be a positive integer"
                 )
-            members.append(v)
         if not members:
             raise EmptySuperport(f"superports[{k}] is empty")
         if len(set(members)) != len(members):
-            raise OverlappingSuperports(
-                f"superports[{k}] repeats a vertex"
-            )
+            raise OverlappingSuperports(f"superports[{k}] repeats a vertex")
         overlap = seen.intersection(members)
         if overlap:
             raise OverlappingSuperports(
@@ -393,14 +402,17 @@ def validate_and_canonicalize(
     return net, mapping
 
 
+# the network loader is the validator itself
+network_from_data = validate_and_canonicalize
+
+
 def canonical_network(edges: Iterable, superports: Iterable[Iterable[int]]) -> SuperportNetwork:
     """Canonical network from programmatic edge/superport lists; the vertex
     count is inferred from the labels that appear."""
-    edge_list = list(edges)
+    edge_list = [_coerce_edge(item, idx) for idx, item in enumerate(edges)]
     sp_list = [list(sp) for sp in superports]
     labels: set[int] = set()
-    for item in edge_list:
-        u, v, _ = _coerce_edge(item, "edges[?]")
+    for u, v, _ in edge_list:
         labels.add(u)
         labels.add(v)
     for sp in sp_list:
@@ -460,21 +472,18 @@ def make_circuit(net: SuperportNetwork, deltas: Mapping[int, object]) -> Circuit
 
     `deltas` must cover exactly the non-root boundary vertices.
     """
-    coerced: dict[int, Fraction] = {}
-    for k, value in deltas.items():
-        coerced[k] = rat(value)
-    expected = set(net.non_roots)
-    got = set(coerced)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing non-root vertices {missing}")
-        if extra:
-            parts.append(f"unexpected vertices {extra}")
-        raise SchemaError("deltas", "; ".join(parts))
+    coerced = {k: rat(value) for k, value in deltas.items()}
+    _require_cover(set(net.non_roots), coerced)
     return Circuit(network=net, deltas=tuple(sorted(coerced.items())))
+
+
+def _require_cover(expected: set[int], given: Iterable[int]) -> None:
+    """A SchemaError at "deltas" unless the labels given are the expected."""
+    got = set(given)
+    faults = {"missing non-root vertices": expected - got, "unexpected vertices": got - expected}
+    parts = [f"{what} {sorted(labels)}" for what, labels in faults.items() if labels]
+    if parts:
+        raise SchemaError("deltas", "; ".join(parts))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -509,35 +518,23 @@ def solution_to_data(solution: Solution, net: SuperportNetwork) -> dict:
     }
 
 
-def network_from_data(
-    data: object, *, merge_parallel: bool = False
-) -> tuple[SuperportNetwork, dict[int, int]]:
-    if not isinstance(data, Mapping):
-        raise SchemaError("$", "network description must be an object")
-    extra = set(data) - {"vertices", "edges", "superports"}
-    if extra:
-        raise SchemaError("$", f"unknown fields {sorted(extra)}")
-    return validate_and_canonicalize(data, merge_parallel=merge_parallel)
-
-
 def circuit_from_data(
     data: object, *, merge_parallel: bool = False
 ) -> tuple[Circuit, dict[int, int]]:
+    """A circuit and its old-to-new label mapping.  Every field but "deltas"
+    goes to `validate_and_canonicalize`; the deltas are checked here, and
+    their errors name the file's labels."""
     if not isinstance(data, Mapping):
         raise SchemaError("$", "circuit description must be an object")
-    extra = set(data) - {"vertices", "edges", "superports", "deltas"}
-    if extra:
-        raise SchemaError("$", f"unknown fields {sorted(extra)}")
     if "deltas" not in data:
         raise SchemaError("deltas", "missing required field")
     deltas_raw = data["deltas"]
     if not isinstance(deltas_raw, Sequence) or isinstance(deltas_raw, (str, bytes)):
         raise SchemaError("deltas", "must be a list")
     net, mapping = validate_and_canonicalize(
-        {k: data[k] for k in ("vertices", "edges", "superports")},
-        merge_parallel=merge_parallel,
+        {k: v for k, v in data.items() if k != "deltas"}, merge_parallel=merge_parallel
     )
-    deltas: dict[int, Fraction] = {}
+    deltas: dict[int, Fraction] = {}  # by the file's labels
     for idx, item in enumerate(deltas_raw):
         if not isinstance(item, Mapping):
             raise SchemaError(f"deltas[{idx}]", "must be an object")
@@ -552,15 +549,13 @@ def circuit_from_data(
             du = rat(item["du"])
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"deltas[{idx}].du", str(exc))
-        mapped = mapping[v]
-        if mapped in deltas:
+        if v in deltas:
             raise SchemaError(f"deltas[{idx}].vertex", f"vertex {v} appears twice")
-        deltas[mapped] = du
-    try:
-        circuit = make_circuit(net, deltas)
-    except SchemaError as exc:
-        raise SchemaError("deltas", str(exc))
-    return circuit, mapping
+        deltas[v] = du
+    non_roots = set(net.non_roots)
+    _require_cover({old for old, new in mapping.items() if new in non_roots}, deltas)
+    canonical = sorted((mapping[v], du) for v, du in deltas.items())
+    return Circuit(network=net, deltas=tuple(canonical)), mapping
 
 
 def dumps_network(net: SuperportNetwork) -> str:
@@ -581,6 +576,13 @@ def loads_json(text: str):
         raise SchemaError("$", f"invalid JSON: {exc}")
 
 
+def load_json(path: str):
+    """The value of the JSON file at `path`, decoded by `loads_json`; the one
+    place a file is read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return loads_json(fh.read())
+
+
 def loads_network(text: str, *, merge_parallel: bool = False) -> SuperportNetwork:
     net, _ = network_from_data(loads_json(text), merge_parallel=merge_parallel)
     return net
@@ -592,10 +594,10 @@ def loads_circuit(text: str, *, merge_parallel: bool = False) -> Circuit:
 
 
 def load_network(path: str, *, merge_parallel: bool = False) -> SuperportNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_network(fh.read(), merge_parallel=merge_parallel)
+    net, _ = network_from_data(load_json(path), merge_parallel=merge_parallel)
+    return net
 
 
 def load_circuit(path: str, *, merge_parallel: bool = False) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_circuit(fh.read(), merge_parallel=merge_parallel)
+    circuit, _ = circuit_from_data(load_json(path), merge_parallel=merge_parallel)
+    return circuit

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
@@ -30,6 +30,7 @@ from superport import (
     random_network,
     rat,
     rat_str,
+    validate_and_canonicalize,
 )
 from superport.cli import _emit_reports, main
 
@@ -40,6 +41,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_captured(*argv):
+    """run_cli without capsys, which a Hypothesis test cannot take."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli_without_digit_limit(capsys, *argv):
@@ -557,7 +566,55 @@ FILE_COMMANDS = [
 ]
 
 
+# documents in the loaders' own vocabulary reach past the first checks
+FIELDS = ["vertices", "edges", "superports", "deltas", "sizes", "u", "v", "c", "vertex", "du"]
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.sampled_from(["1", "1/2", "-1", "0", "x", "1/0"])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3)
+)
+ANY_JSON = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=3), kids, max_size=5),
+    max_leaves=25,
+)
+LABEL = st.integers(1, 5)
+NETWORK_FIELDS = {
+    "vertices": st.integers(1, 5),
+    "edges": st.lists(
+        st.tuples(LABEL, LABEL, st.sampled_from(["1", "2", "1/2"])).map(list), max_size=7
+    ),
+    "superports": st.lists(st.lists(LABEL, max_size=3), min_size=1, max_size=3),
+}
+OTHER_FIELDS = {
+    "deltas": st.lists(
+        st.fixed_dictionaries({"vertex": LABEL, "du": st.sampled_from(["0", "1", "-1/2"])}),
+        max_size=4,
+    ),
+    "sizes": st.lists(st.integers(1, 2), max_size=3),
+}
+NEAR_VALID = st.fixed_dictionaries(NETWORK_FIELDS, optional=OTHER_FIELDS) | st.fixed_dictionaries(
+    {}, optional={**NETWORK_FIELDS, **OTHER_FIELDS}
+)
+
+
 class TestErrorPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(ANY_JSON | NEAR_VALID)
+    def test_any_json_exits_zero_or_two(self, document):
+        # every file-reading subcommand either succeeds or refuses the file
+        # with a message, and prints no partial output when it refuses
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(document))
+            for argv in FILE_COMMANDS:
+                code, out, err = run_cli_captured(*argv, str(path))
+                assert code in (0, 2), (argv, err)
+                assert "Traceback" not in err
+                if code == 2:
+                    assert out == "" and err.endswith("\n"), argv
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/nonexistent/net.json")
         assert code == 2
@@ -620,6 +677,41 @@ class TestErrorPaths:
         out = capsys.readouterr().out
         assert code == 1
         assert json.loads(out)[0]["witness"] == {"k": "v"}
+
+
+class TestParallelReduction:
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_split_edge_merges_back(self, seed):
+        # an edge of conductance c split into two parallel edges of a and
+        # c - a: merged on load it is the same network, so it has the same L
+        # and every report; without --merge-parallel it is refused
+        rng = random.Random(seed)
+        net = random_network(rng, max_n=7, max_edges=11, require_nonroots=True)
+        k = rng.randrange(len(net.edges))
+        u, v, c = net.edges[k]
+        a = c * Fraction(rng.randint(1, 9), 10)
+        edges = [*net.edges[:k], (u, v, a), (v, u, c - a), *net.edges[k + 1 :]]
+        rng.shuffle(edges)
+        raw = {
+            "vertices": net.n,
+            "edges": [[x, y, rat_str(w)] for x, y, w in edges],
+            "superports": [list(sp) for sp in net.superports],
+        }
+        merged, _ = validate_and_canonicalize(raw, merge_parallel=True)
+        assert merged == net
+        with tempfile.TemporaryDirectory() as tmp:
+            split_path, net_path = Path(tmp) / "split.json", Path(tmp) / "net.json"
+            split_path.write_text(json.dumps(raw))
+            net_path.write_text(dumps_network(net))
+            seed = str(rng.randrange(2**32))
+            for argv in (["validate", "--format", "json"], ["verify", "--seed", seed]):
+                merged_run = run_cli_captured(*argv, str(split_path), "--merge-parallel")
+                assert merged_run == run_cli_captured(*argv, str(net_path))
+                assert merged_run[0] == 0
+            code, out, err = run_cli_captured("verify", str(split_path))
+            assert (code, out) == (2, "")
+            assert err.startswith("MultiEdge: repeated edge between ")
 
 
 class TestEntryPoints:

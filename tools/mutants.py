@@ -203,6 +203,38 @@ MUTANTS = {
         "rows[col], rows[pivot_row] = rows[pivot_row], [-x for x in rows[col]]",
         "rows[col], rows[pivot_row] = rows[pivot_row], rows[col]",
     ),
+    "eliminate-drops-zero-factor-branch": (
+        "linalg.py",
+        "            elif pivot != prev:\n",
+        "            elif False:\n",
+    ),
+    # c2l's five steps
+    "c2l-step-1-drops-first-row": (
+        "solver.py",
+        "inv = C.submatrix(range(m - 1), range(m - 1)).invert()",
+        "inv = C.submatrix(range(1, m), range(1, m)).invert()",
+    ),
+    "c2l-step-3-adds": (
+        "solver.py",
+        "a[rk] = [a[rk][j] - a[rr][j] for j in range(m - 1)]",
+        "a[rk] = [a[rk][j] + a[rr][j] for j in range(m - 1)]",
+    ),
+    "c2l-step-4-keeps-row-m-1": (
+        "solver.py",
+        "core = [[a[i][j] for j in keep] for i in keep]",
+        "core = [[a[i][j] for j in keep] for i in [*keep[:-1], m - 2]]",
+    ),
+    "c2l-step-5-skipped": (
+        "solver.py",
+        "return Matrix(core, labels=non_roots).invert()",
+        "return Matrix(core, labels=non_roots)",
+    ),
+    # the gluing statement's quotient circuit
+    "gluing-keeps-last-conductance": (
+        "verify.py",
+        "acc[key] = acc.get(key, Fraction(0)) + c",
+        "acc[key] = c",
+    ),
 }
 
 
