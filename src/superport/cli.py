@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: validate, solve, response, forests, verify, count, boxh.
-Output is machine-readable JSON (--format json, the default for structured
-results is text) and every command exits 0 on success, 1 on a failed
-verification (after printing the witness), 2 on a usage or input error.
+Subcommands: validate, solve, response, forests, verify, count, boxh; each
+takes only the options its handler reads, one parent parser per option.
+Text is the default --format.  Every command exits 0 on success, 1 on a
+failed verification (after printing the witness), 2 on a usage or input
+error, a malformed `count --gencayley` file included.
 
 `forests` streams one line per forest, one write each, in enumeration
 order: the edge indices and, with --weights, the weight, reduced on
@@ -218,12 +219,16 @@ def cmd_count(args: argparse.Namespace) -> int:
             print(report.lhs)
         return 0 if report.ok else 1
     data = load_json(args.gencayley)
-    if not isinstance(data, dict) or not isinstance(data.get("sizes"), list):
-        print('gencayley file must be {"sizes": [..]}', file=sys.stderr)
-        return 2
-    sizes = data["sizes"]
+    if not isinstance(data, dict):
+        raise SchemaError("$", "gencayley description must be an object")
+    if "sizes" not in data:
+        raise SchemaError("sizes", "missing required field")
+    if len(data) > 1:
+        raise SchemaError("$", f"unknown fields {sorted(set(data) - {'sizes'})}")
+    if not isinstance(data["sizes"], list):
+        raise SchemaError("sizes", "must be a list")
     rng = random.Random(args.seed) if args.seed is not None else None
-    report = verify_generalized_cayley(sizes, rng=rng, cap=args.cap)
+    report = verify_generalized_cayley(data["sizes"], rng=rng, cap=args.cap)
     return _emit_reports([report], args)
 
 
@@ -244,24 +249,23 @@ def cmd_boxh(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    def option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    cap = option(
         "--cap",
         type=int,
         default=DEFAULT_CAP,
         help="refuse to enumerate networks with more edges than this",
     )
-    common.add_argument(
+    merge = option(
         "--merge-parallel",
         action="store_true",
         help="merge parallel edges by summing conductances instead of rejecting",
     )
-    common.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default="text",
-        help="output format",
-    )
+    fmt = option("--format", choices=("json", "text"), default="text", help="output format")
 
     parser = argparse.ArgumentParser(
         prog="superport",
@@ -269,26 +273,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="canonicalize a network file")
+    p = sub.add_parser("validate", parents=[merge, fmt], help="canonicalize a network file")
     p.add_argument("network")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", parents=[common], help="solve a circuit file")
+    p = sub.add_parser("solve", parents=[merge, fmt], help="solve a circuit file")
     p.add_argument("circuit")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("response", parents=[common], help="print a response matrix")
+    p = sub.add_parser("response", parents=[merge, fmt], help="print a response matrix")
     p.add_argument("network")
     p.add_argument("--show", choices=("K", "C", "L", "Lext"), default="L")
     p.set_defaults(func=cmd_response)
 
-    p = sub.add_parser("forests", parents=[common], help="stream spanning forests")
+    p = sub.add_parser("forests", parents=[cap, merge], help="stream spanning forests")
     p.add_argument("network")
     p.add_argument("--kind", default="all", help="trees, valid, relative:<i>, or all")
     p.add_argument("--weights", action="store_true", help="append a weight column")
     p.set_defaults(func=cmd_forests)
 
-    p = sub.add_parser("verify", parents=[common], help="check identities")
+    p = sub.add_parser("verify", parents=[cap, merge, fmt], help="check identities")
     p.add_argument("network", nargs="?")
     p.add_argument("--theorem", choices=THEOREM_CHOICES, default="all")
     p.add_argument("--seed", type=int, default=None)
@@ -296,14 +300,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="verify N random networks instead of a file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("count", parents=[common], help="tree-counting corollaries")
+    p = sub.add_parser("count", parents=[cap, fmt], help="tree-counting corollaries")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--cayley", type=int, metavar="M")
     group.add_argument("--gencayley", metavar="FILE")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("boxh", parents=[common], help="box to H transformation")
+    p = sub.add_parser("boxh", parents=[fmt], help="box to H transformation")
     for name in "abcd":
         p.add_argument(name, type=rat)
     p.set_defaults(func=cmd_boxh)

@@ -54,7 +54,7 @@ class SingularBlock(LinAlgError):
     """The eliminated block of a Schur complement is singular."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 
 def rat(value: object) -> Fraction:

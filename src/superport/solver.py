@@ -69,11 +69,7 @@ def kirchhoff_matrix(net: SuperportNetwork) -> Matrix:
 def electrical_response(net: SuperportNetwork) -> Matrix:
     """Response of the underlying electrical network: K with the interior
     vertices eliminated.  Labeled by the boundary vertices 1..m."""
-    return _eliminate_interior(kirchhoff_matrix(net), net.m)
-
-
-def _eliminate_interior(K: Matrix, m: int) -> Matrix:
-    return K if K.rows == m else K.schur_complement(range(m))
+    return kirchhoff_matrix(net).schur_complement(range(net.m))
 
 
 def _check_canonical_superports(
@@ -184,7 +180,7 @@ def response_matrices(net: SuperportNetwork) -> ResponseMatrices:
     """K, C and L of one network, all three built on the call, K once and C
     derived from it.  A caller that may not read them defers the call."""
     K = kirchhoff_matrix(net)
-    C = _eliminate_interior(K, net.m)
+    C = K.schur_complement(range(net.m))
     L = c2l(C, net.superports) if net.non_roots else None
     return ResponseMatrices(kirchhoff=K, response=C, superport_response=L)
 
@@ -235,17 +231,8 @@ def solve(circuit: Circuit) -> Solution:
     voltages = tuple(
         Fraction(0) if v == m else values[col[v]] for v in range(1, n + 1)
     )
-    table = [[Fraction(0)] * n for _ in range(n)]
-    for u, v, c in net.edges:
-        i = c * (voltages[u - 1] - voltages[v - 1])
-        table[u - 1][v - 1] = i
-        table[v - 1][u - 1] = -i
-    incoming = tuple(sum(table[k - 1], Fraction(0)) for k in range(1, m + 1))
-    return Solution(
-        voltages=voltages,
-        currents=tuple(tuple(r) for r in table),
-        incoming=incoming,
-    )
+    currents = [c * (voltages[u - 1] - voltages[v - 1]) for u, v, c in net.edges]
+    return Solution.from_edge_currents(net, voltages, currents)
 
 
 def extended_response(net: SuperportNetwork) -> Matrix:

@@ -629,21 +629,14 @@ def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
             sum((du * (volt[i][v] - volt[i][m]) for i, du, _ in terms), Fraction(0)) / valid
             for v in range(1, n + 1)
         )
-        table = [[Fraction(0)] * n for _ in range(n)]
-        for u, v, _ in net.edges:
-            through = sum(
+        currents = [
+            sum(
                 (du * (flow[i].get((u, v), 0) - flow[i].get((v, u), 0)) for i, du, _ in terms),
                 Fraction(0),
-            )
-            cur = through / (valid * p.scale)
-            table[u - 1][v - 1] = cur
-            table[v - 1][u - 1] = -cur
-        incoming = tuple(sum(table[k - 1], Fraction(0)) for k in range(1, m + 1))
-        return Solution(
-            voltages=voltages,
-            currents=tuple(tuple(r) for r in table),
-            incoming=incoming,
-        )
+            ) / (valid * p.scale)
+            for u, v, _ in net.edges
+        ]
+        return Solution.from_edge_currents(net, voltages, currents)
 
     return solution
 

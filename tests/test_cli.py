@@ -534,6 +534,23 @@ class TestCount:
             main(["count", "--cayley", "3", "--gencayley", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("document, message", [
+        ([2, 2], "SchemaError: $: gencayley description must be an object"),
+        ("sizes", "SchemaError: $: gencayley description must be an object"),
+        ({"groups": [2, 2]}, "SchemaError: sizes: missing required field"),
+        # a missing "sizes" is named before any unknown field
+        ({"groups": [2, 2], "comment": "x"}, "SchemaError: sizes: missing required field"),
+        ({"sizes": [2, 1], "comment": "x"}, "SchemaError: $: unknown fields ['comment']"),
+        ({"sizes": {"a": 2}}, "SchemaError: sizes: must be a list"),
+        ({"sizes": "21"}, "SchemaError: sizes: must be a list"),
+        ({"sizes": [2, 0]}, "group sizes must be positive integers"),
+    ])
+    def test_gencayley_messages(self, capsys, tmp_path, document, message):
+        sizes_file = tmp_path / "sizes.json"
+        sizes_file.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "count", "--gencayley", str(sizes_file))
+        assert (code, out, err) == (2, "", message + "\n")
+
 
 class TestBoxH:
     def test_unit_values(self, capsys):
@@ -558,6 +575,76 @@ class TestBoxH:
     def test_bad_argument(self, capsys):
         code, _, err = run_cli(capsys, "boxh", "0", "1", "1", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["٣", "３", "1/٢", "٣/2"])
+    def test_only_ascii_digits_are_digits(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["boxh", value, "1", "1", "1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"invalid rat value: '{value}'" in captured.err
+
+
+# the shared options each subcommand's handler reads; any other is refused
+READS = {
+    "validate": {"--merge-parallel", "--format"},
+    "solve": {"--merge-parallel", "--format"},
+    "response": {"--merge-parallel", "--format"},
+    "forests": {"--cap", "--merge-parallel"},
+    "verify": {"--cap", "--merge-parallel", "--format"},
+    "count": {"--cap", "--format"},
+    "boxh": {"--format"},
+}
+
+
+def shared_option_argv(tmp_path, command, split=False):
+    """A command line that `command` accepts.  Its file holds the W network,
+    and a circuit on it for `solve`; with `split`, edge 1-5 is given as two
+    parallel halves."""
+    first = [[1, 5, "1"], [5, 1, "1"]] if split else [[1, 5, "2"]]
+    doc = {
+        "vertices": 5,
+        "edges": first + [[2, 5, "3"], [2, 4, "5"], [3, 4, "7"]],
+        "superports": [[1, 2, 3], [4, 5]],
+    }
+    if command == "solve":
+        doc["deltas"] = [{"vertex": 1, "du": "1"}, {"vertex": 2, "du": "0"},
+                         {"vertex": 4, "du": "2"}]
+    path = tmp_path / ("split.json" if split else "net.json")
+    path.write_text(json.dumps(doc))
+    return {
+        "forests": ["forests", str(path), "--weights"],
+        "verify": ["verify", str(path), "--theorem", "detl"],
+        "count": ["count", "--cayley", "3"],
+        "boxh": ["boxh", "1", "2", "3", "4"],
+    }.get(command, [command, str(path)])
+
+
+@pytest.mark.parametrize("option", ["--cap", "--merge-parallel", "--format"])
+@pytest.mark.parametrize("command", READS)
+def test_each_subcommand_takes_only_the_options_it_reads(capsys, tmp_path, command, option):
+    argv = shared_option_argv(tmp_path, command)
+    if option not in READS[command]:
+        value = {"--cap": ["20"], "--merge-parallel": [], "--format": ["text"]}[option]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, *value])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"unrecognized arguments: {option}" in captured.err
+        return
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if option == "--cap":
+        code, out, err = run_cli(capsys, *argv, "--cap", "0")
+        assert (code, out) == (2, "") and err.startswith("CapExceeded: ")
+    elif option == "--merge-parallel":
+        split = shared_option_argv(tmp_path, command, split=True)
+        assert run_cli(capsys, *split)[0] == 2
+        assert run_cli(capsys, *split, "--merge-parallel") == (0, plain, "")
+    else:
+        assert run_cli(capsys, *argv, "--format", "text") == (0, plain, "")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)
 
 
 # every subcommand that reads a file, with the options before its path

@@ -110,6 +110,13 @@ NETWORK_MESSAGES = [
     (net(vertices=4), "SchemaError: vertices: declared 4 vertices but 3 distinct labels appear"),
     (net(vertices=4, edges=[[1, 3, "1"], [2, 4, "2"]]),
      "Disconnected: vertices [2, 4] are not connected to vertex 1"),
+    # a digit is 0-9: Arabic-Indic and fullwidth digits are not literals
+    (net(edges=[[1, 3, "٣"], [2, 3, "2"]]), "SchemaError: edges[0].c: not a rational literal: '٣'"),
+    (net(edges=[[1, 3, "３"], [2, 3, "2"]]), "SchemaError: edges[0].c: not a rational literal: '３'"),
+    (net(edges=[[1, 3, "1/٢"], [2, 3, "2"]]),
+     "SchemaError: edges[0].c: not a rational literal: '1/٢'"),
+    (net(edges=[[1, 3, "٣/2"], [2, 3, "2"]]),
+     "SchemaError: edges[0].c: not a rational literal: '٣/2'"),
 ]
 
 CIRCUIT_MESSAGES = [
