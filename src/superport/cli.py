@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, solve, response, forests, verify, count, boxh; each
-takes only the options its handler reads, one parent parser per option.
+takes only the options its handler reads, one parent parser per option, and
+refuses with exit 2 the two that one of its forms does not read:
+`verify --campaign --merge-parallel` and `count --cayley --seed`.
 Text is the default --format.  Every command exits 0 on success, 1 on a
 failed verification (after printing the witness), 2 on a usage or input
 error, a malformed `count --gencayley` file included.
@@ -181,6 +183,9 @@ def _emit_reports(reports, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.campaign is not None and args.merge_parallel:
+        print("--merge-parallel applies to a network file, not to --campaign", file=sys.stderr)
+        return 2
     if args.campaign is not None and args.campaign < 1:
         print("--campaign needs a positive network count", file=sys.stderr)
         return 2
@@ -205,6 +210,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    if args.cayley is not None and args.seed is not None:
+        print("--seed applies to --gencayley, not to --cayley", file=sys.stderr)
+        return 2
     if args.cayley is not None:
         report = verify_cayley(args.cayley, cap=args.cap)
         if args.format == "json":

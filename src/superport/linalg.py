@@ -7,11 +7,17 @@ the elimination: Bareiss's fraction-free forward elimination on the rows
 scaled to integers (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968).  Its integer
 entries are bordered minors, so no gcd is paid until the end, when each
-output entry becomes a Fraction once.  `det` reads the last pivot,
-`schur_complement` moves the dropped positions first and reads the trailing
-block, and `invert` and `solve_linear_system` eliminate [A | B] and back
-substitute on integers, since det(A) A^-1 B is an integer matrix once
-[A | B] has integer rows.
+output entry becomes a Fraction once.  A step touches only the rows with a
+nonzero factor: the others keep the pivot they were last divided by, which
+their next update divides by instead.  `det` reads the last pivot,
+`schur_complement` moves the dropped positions first, in the greedy
+minimum-degree order of `min_degree_order`, and reads the trailing block,
+and `invert` and `solve_linear_system` eliminate [A | B] and back substitute
+on integers, since det(A) A^-1 B is an integer matrix once [A | B] has
+integer rows.  The network matrices are sparse, so the order keeps the fill,
+and with it the rows each step touches, small (Tinney and Walker, "Direct
+solutions of sparse network equations by optimally ordered triangular
+factorization", Proc. IEEE 1967).
 
 Rows and columns may carry integer labels (vertex numbers), which lets
 callers drive row/column operations by vertex identity instead of position.
@@ -31,6 +37,7 @@ __all__ = [
     "NonSquareMatrix",
     "SingularBlock",
     "SingularMatrix",
+    "min_degree_order",
     "rat",
     "rat_str",
     "ratio_str",
@@ -136,6 +143,14 @@ def _eliminate(
     first k rows only, so the trailing rows keep their places; a swap
     negates the row it moves down, so it keeps the determinant's sign.
 
+    A step whose factor in a row is zero would only multiply the row by
+    pivot / previous pivot, so it leaves the row alone, and each row keeps
+    `divs[r]`, the pivot it was last divided by: after skipped steps the
+    row is the up-to-date one times divs[r] / prev, so the next update
+    (pivot * row - factor * pivot_row) / divs[r] gives the same integers as
+    rescaling at every step.  The pivot row, and at the end each trailing
+    row, is brought up to date by one multiply-divide, row * prev / divs[r].
+
     Returns (rows, scales, pivot): the eliminated integer rows (entries
     left of a row's diagonal are stale), each row's scale, and the last
     pivot, which is the determinant of the scaled leading k x k block.  So
@@ -145,6 +160,7 @@ def _eliminate(
     """
     scales = [lcm(*(x.denominator for x in row)) for row in a]
     rows = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(a, scales)]
+    divs = [1] * len(rows)
     prev = 1
     for col in range(k):
         pivot_row = next((r for r in range(col, k) if rows[r][col]), None)
@@ -153,20 +169,50 @@ def _eliminate(
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], [-x for x in rows[col]]
             scales[col], scales[pivot_row] = scales[pivot_row], scales[col]
+            divs[col], divs[pivot_row] = divs[pivot_row], divs[col]
         prow = rows[col]
+        if divs[col] != prev:
+            prow[col:] = [x * prev // divs[col] for x in prow[col:]]
         pivot = prow[col]
         tail = prow[col + 1:]
-        for row in rows[col + 1:]:
+        for r in range(col + 1, len(rows)):
+            row = rows[r]
             factor = row[col]
             if factor:
+                d = divs[r]
                 row[col + 1:] = [
-                    (pivot * x - factor * y) // prev for x, y in zip(row[col + 1:], tail)
+                    (pivot * x - factor * y) // d for x, y in zip(row[col + 1:], tail)
                 ]
-            elif pivot != prev:
-                # a zero factor still raises the row's minors by one order
-                row[col + 1:] = [pivot * x // prev for x in row[col + 1:]]
+                divs[r] = pivot
         prev = pivot
+    for row, d in zip(rows[k:], divs[k:]):
+        if d != prev:
+            row[k:] = [x * prev // d for x in row[k:]]
     return rows, scales, prev
+
+
+def min_degree_order(neighbours: dict[int, set[int]], eliminate: Iterable[int]) -> list[int]:
+    """The vertices `eliminate` in greedy minimum-degree order.
+
+    `neighbours[v]` is the set of v's neighbours in a symmetric nonzero
+    pattern, every vertex a key.  Each step takes the vertex of `eliminate`
+    with the fewest neighbours left, the least on ties, and joins its
+    neighbours pairwise, which is the fill its elimination makes; vertices
+    outside `eliminate` are never taken but count as neighbours.  This is
+    Tinney and Walker's second scheme (see the module docstring).
+    """
+    adj = {v: set(ws) for v, ws in neighbours.items()}
+    left = set(eliminate)
+    order = []
+    while left:
+        v = min(left, key=lambda u: (len(adj[u]), u))
+        left.remove(v)
+        order.append(v)
+        ws = adj.pop(v)
+        for w in ws:
+            adj[w] |= ws
+            adj[w] -= {v, w}
+    return order
 
 
 def _solve(a: Sequence[Sequence[Fraction]], n: int) -> list[list[Fraction]]:
@@ -380,7 +426,10 @@ class Matrix:
         `keep` lists 0-based row/column positions (the matrix must be
         square); the complementary block is eliminated and must be
         invertible, otherwise SingularBlock is raised.  The result carries
-        the kept labels.
+        the kept labels.  The dropped positions are eliminated in
+        `min_degree_order` on the matrix's symmetrized nonzero pattern, the
+        kept positions counting as neighbours; the result does not depend
+        on that order, only the work does.
         """
         if self.rows != self.cols:
             raise NonSquareMatrix("Schur complement of a non-square matrix")
@@ -391,7 +440,13 @@ class Matrix:
         if not dropped:
             return self
         d = len(dropped)
-        order = dropped + kept
+        neighbours: dict[int, set[int]] = {i: set() for i in range(self.rows)}
+        for i, row in enumerate(self.entries):
+            for j, x in enumerate(row):
+                if x and i != j:
+                    neighbours[i].add(j)
+                    neighbours[j].add(i)
+        order = min_degree_order(neighbours, dropped) + kept
         try:
             rows, scales, pivot = _eliminate(
                 [[self.entries[i][j] for j in order] for i in order], d
@@ -410,11 +465,18 @@ class Matrix:
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve a square exact linear system A x = b by elimination and back
-    substitution; raises SingularMatrix if A is singular."""
+    substitution; raises SingularMatrix if A is singular.  Entries are
+    coerced by `rat`, but ints are taken as they are: the kernel reads them
+    as integers directly."""
     n = len(rows)
     if len(rhs) != n:
         raise ValueError("right-hand side does not match the system")
     if any(len(row) != n for row in rows):
         raise ValueError("system matrix must be square")
-    a = [[rat(x) for x in row] + [rat(b)] for row, b in zip(rows, rhs)]
+    a = [[_exact(x) for x in row] + [_exact(b)] for row, b in zip(rows, rhs)]
     return [x[0] for x in _solve(a, n)]
+
+
+def _exact(value: object):
+    """An int as it is, anything else coerced by `rat`."""
+    return value if type(value) is int else rat(value)

@@ -246,13 +246,17 @@ class Solution:
     @classmethod
     def from_edge_currents(cls, net: SuperportNetwork, voltages, currents) -> "Solution":
         """Edge e = (u, v, c) of `net.edges` carries currents[e] from u to v."""
-        n = net.n
+        n, m = net.n, net.m
         table = [[Fraction(0)] * n for _ in range(n)]
+        incoming = [Fraction(0)] * m
         for (u, v, _), i in zip(net.edges, currents):
             table[u - 1][v - 1] = i
             table[v - 1][u - 1] = -i
-        incoming = tuple(sum(table[k - 1], Fraction(0)) for k in range(1, net.m + 1))
-        return cls(tuple(voltages), tuple(tuple(r) for r in table), incoming)
+            if u <= m:
+                incoming[u - 1] += i
+            if v <= m:
+                incoming[v - 1] -= i
+        return cls(tuple(voltages), tuple(tuple(r) for r in table), tuple(incoming))
 
 
 # -- validation and canonical labeling ----------------------------------------

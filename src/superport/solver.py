@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, SingularMatrix, solve_linear_system
+from .linalg import Matrix, SingularMatrix, min_degree_order, solve_linear_system
 from .network import Circuit, Solution, SuperportNetwork, make_circuit
 
 __all__ = [
@@ -175,6 +177,14 @@ class ResponseMatrices:
     response: Matrix
     superport_response: Optional[Matrix]
 
+    @cached_property
+    def reduced_det(self) -> Fraction:
+        """det of the response without its last row and column, the reduced
+        response: eliminated on the first read, which Kirchhoff's identity
+        and the valid-minor sum share."""
+        m = self.response.rows
+        return self.response.submatrix(range(m - 1), range(m - 1)).det()
+
 
 def response_matrices(net: SuperportNetwork) -> ResponseMatrices:
     """K, C and L of one network, all three built on the call, K once and C
@@ -189,43 +199,57 @@ def solve(circuit: Circuit) -> Solution:
     """Solve a circuit exactly.
 
     The unknowns are the voltages at every vertex except m, where U_m = 0.
-    The equations are current conservation at interior vertices, zero total
-    incoming current over each superport but the last, and the prescribed
-    differences U_k - U_root(k) at non-root boundary vertices; that is
-    (n - m) + (p - 1) + (m - p) = n - 1 equations.
+    The equations are the prescribed differences U_k - U_root(k) at the
+    non-root boundary vertices, current conservation at the interior
+    vertices, and zero total incoming current over each superport but the
+    last; that is (m - p) + (n - m) + (p - 1) = n - 1 equations.  Each
+    equation is paired with an unknown, and both are taken in one order:
+    the non-roots with their differences, ascending; the interior vertices
+    with their conservation rows, in `min_degree_order` on the network with
+    each superport merged into its root and the last one, which holds m,
+    grounded; then the other roots with their superports' rows.  The
+    conservation rows are in integer units of 1/D, D the least common
+    denominator of the conductances.
     """
     net = circuit.network
-    n, m, p = net.n, net.m, net.p
-    unknowns = [v for v in range(1, n + 1) if v != m]
-    col = {v: i for i, v in enumerate(unknowns)}
-    size = n - 1
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    n, m = net.n, net.m
+    scale = lcm(*(c.denominator for _, _, c in net.edges))
 
-    def conservation_row(vertices: Iterable[int]) -> list[Fraction]:
-        row = [Fraction(0)] * size
+    def conservation(vertices: Iterable[int]) -> dict[int, int]:
+        row: dict[int, int] = {}
         for k in vertices:
             for w, c in net.adjacency[k]:
-                if k != m:
-                    row[col[k]] += c
-                if w != m:
-                    row[col[w]] -= c
+                units = c.numerator * (scale // c.denominator)
+                row[k] = row.get(k, 0) + units
+                row[w] = row.get(w, 0) - units
         return row
 
-    for v in range(m + 1, n + 1):
-        rows.append(conservation_row((v,)))
-        rhs.append(Fraction(0))
+    equations = {k: ({k: 1, net.root_of[k]: -1}, d) for k, d in circuit.deltas}
+    interior = range(m + 1, n + 1)
+    for v in interior:
+        equations[v] = (conservation((v,)), 0)
     for sp in net.superports[:-1]:
-        rows.append(conservation_row(sp))
-        rhs.append(Fraction(0))
-    for k, d in circuit.deltas:
-        row = [Fraction(0)] * size
-        row[col[k]] += 1
-        r = net.root_of[k]
-        if r != m:
-            row[col[r]] -= 1
+        equations[sp[-1]] = (conservation(sp), 0)
+
+    # once the non-roots are eliminated, a row's pattern is its vertices
+    # merged into their superports' roots, with m grounded
+    merged = {v: net.root_of.get(v, v) for v in range(1, n + 1)}
+    neighbours = {
+        v: {merged[w] for w in equations[v][0]} - {v, m} for v in (*interior, *net.roots[:-1])
+    }
+    order = [*net.non_roots, *min_degree_order(neighbours, interior), *net.roots[:-1]]
+
+    col = {v: i for i, v in enumerate(order)}
+    rows: list[list[int]] = []
+    rhs = []
+    for v in order:
+        coefficients, value = equations[v]
+        row = [0] * (n - 1)
+        for w, x in coefficients.items():
+            if w != m:
+                row[col[w]] = x
         rows.append(row)
-        rhs.append(d)
+        rhs.append(value)
 
     values = solve_linear_system(rows, rhs)
     voltages = tuple(

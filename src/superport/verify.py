@@ -16,7 +16,7 @@ the entries of L the forest sign on forests valid relative to both
 non-roots (m - p); the signed sum each key's signed partitions.  Kirchhoff's
 two parts are the Kenyon-Wilson all-minors formula with |X| = 0 (Z = 1..m-1,
 whose one group is {m}: the trees) and |X| = 1 (C_i^j, whose groups pair i
-with j: m - 1 components), so one helper makes both sides of every minor,
+with j: m - 1 components), so one helper makes each minor's forest side,
 each key signed by the permutation its pattern pairs, over the electrically
 valid forests (m, one boundary vertex each).  Validity, signs, groupings
 and signed partitions are decided once per key.  The statements about
@@ -79,7 +79,7 @@ from .forests import (
     quotient_is_tree,
     quotient_path,
 )
-from .linalg import Matrix, rat, rat_str
+from .linalg import rat, rat_str
 from .network import (
     Circuit,
     Solution,
@@ -255,9 +255,9 @@ def _electrical(p: ForestPass) -> Fraction:
 
 
 def _all_minors(
-    p: ForestPass, C: Matrix, X: tuple, Y: tuple, Z: tuple, electrical: Fraction, signed=True
-) -> tuple[Fraction, Fraction]:
-    """Both sides of the all-minors formula: det C.take(X + Z, Y + Z), and
+    p: ForestPass, X: tuple, Y: tuple, Z: tuple, electrical: Fraction, signed=True
+) -> Fraction:
+    """The forest side of the all-minors formula for det C.take(X + Z, Y + Z):
     (-1)^|X| (dropped when not `signed`) times the weight of the forests
     whose groups pair each x_t with y_pi(t) and isolate the rest of the
     boundary, each signed by sgn(pi), over the electrical weight."""
@@ -278,9 +278,8 @@ def _all_minors(
             return 0
         return permutation_parity(dict(enumerate(pi)))
 
-    lhs = C.take(X + Z, Y + Z).det()
     factor = -1 if (signed and k % 2 == 1) else 1
-    return lhs, factor * p.weight(k + len(W), sign) / electrical
+    return factor * p.weight(k + len(W), sign) / electrical
 
 
 @_guarded("kirchhoff")
@@ -291,16 +290,18 @@ def _kirchhoff(p: ForestPass) -> Finish:
     p.want()
 
     def report(matrices: Matrices) -> Report:
-        C = matrices().response
+        R = matrices()
+        C = R.response
         H = _electrical(p)
         checks = _Checks("kirchhoff", net)
         # part 1 is the minor with Z = 1..m-1: one group, {m}, so trees
-        det_reduced, ratio = _all_minors(p, C, (), (), tuple(range(1, m)), H)
+        det_reduced = R.reduced_det
+        ratio = _all_minors(p, (), (), tuple(range(1, m)), H)
         checks.compare(det_reduced, ratio, part=1)
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
                 # part 2 is the 1x1 minor C_i^j; C_j^i has the same forest side
-                entry, rhs = _all_minors(p, C, (i,), (j,), (), H)
+                entry, rhs = C.entry(i, j), _all_minors(p, (i,), (j,), (), H)
                 for lhs in (entry, C.entry(j, i)):
                     checks.compare(lhs, rhs, part=2, entry=[i, j])
         return checks.report(rat_str(det_reduced), rat_str(ratio))
@@ -338,7 +339,8 @@ def _kw_minor(
     p.want()
 
     def report(matrices: Matrices) -> Report:
-        lhs, rhs = _all_minors(p, matrices().response, xs, ys, zs, _electrical(p), signed)
+        lhs = matrices().response.take(xs + zs, ys + zs).det()
+        rhs = _all_minors(p, xs, ys, zs, _electrical(p), signed)
         checks = _Checks("kenyon-wilson", net)
         checks.compare(lhs, rhs, X=list(xs), Y=list(ys), Z=list(zs), signed=signed)
         return checks.report(rat_str(lhs), rat_str(rhs))
@@ -460,8 +462,7 @@ def _minor_sum(p: ForestPass) -> Finish:
     def report(matrices: Matrices) -> Report:
         R = matrices()
         C, L = R.response, R.superport_response
-        m = net.m
-        det_reduced = C.submatrix(range(m - 1), range(m - 1)).det()
+        det_reduced = R.reduced_det
         total = Fraction(0)
         count = 0
         for I in itertools.product(*choices):

@@ -647,6 +647,27 @@ def test_each_subcommand_takes_only_the_options_it_reads(capsys, tmp_path, comma
         assert code == 0 and json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["count", "--cayley", "4", "--seed", "3"], "--seed"),
+        (["verify", "--campaign", "2", "--seed", "0", "--merge-parallel"], "--merge-parallel"),
+    ],
+)
+def test_an_option_that_one_form_does_not_read_is_refused(capsys, argv, option):
+    # the other form of the subcommand reads the option, so argparse takes it
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and option in err
+
+
+def test_count_gencayley_still_takes_a_seed(capsys, tmp_path):
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps({"sizes": [2, 3]}))
+    plain = run_cli(capsys, "count", "--gencayley", str(path))
+    seeded = run_cli(capsys, "count", "--gencayley", str(path), "--seed", "3")
+    assert plain[0] == seeded[0] == 0 and seeded[1]
+
+
 # every subcommand that reads a file, with the options before its path
 FILE_COMMANDS = [
     ["validate"], ["solve"], ["response"], ["forests"], ["verify"], ["count", "--gencayley"],

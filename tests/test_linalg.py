@@ -14,6 +14,7 @@ from superport import (
     rat_str,
     solve_linear_system,
 )
+from superport.linalg import min_degree_order
 
 from conftest import rationals
 
@@ -333,3 +334,80 @@ class TestBareissHazards:
                 m.schur_complement(keep)
             return
         assert m.schur_complement(keep) == a - b * d.invert() * c
+
+    def test_a_row_skipped_twice_then_swapped_in_as_the_pivot(self):
+        # rows 3 and 4 have zero factors at steps 0 and 1 (pivots 2 and 5),
+        # so they keep their first divisor while the last pivot moves on;
+        # row 2 matches row 0 on the first three columns, so its diagonal is
+        # zero at step 2 and stale row 3 is swapped in as the pivot; row 4
+        # is updated at step 2 from its stale entries, and row 2, moved
+        # down, skips step 2 before it is the pivot of step 3
+        rows = [
+            [2, 1, 0, 1, 0],
+            [1, 3, 1, 0, 1],
+            [2, 1, 0, 5, 1],
+            [0, 0, 5, Fraction(7, 3), 2],
+            [0, 0, 3, 1, Fraction(4, 7)],
+        ]
+        rows = [[Fraction(x) for x in row] for row in rows]
+        m = Matrix(rows)
+        assert m.det() == permutation_expansion(rows) != 0
+        assert m * m.invert() == Matrix.identity(5)
+        rhs = [Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(0), Fraction(9, 11)]
+        x = solve_linear_system(rows, rhs)
+        assert [sum(r * v for r, v in zip(row, x)) for row in rows] == rhs
+        for keep in ([4], [0, 4], [1, 2], [0, 1, 3]):
+            dropped = [i for i in range(5) if i not in keep]
+            a, b = m.submatrix(keep, keep), m.submatrix(keep, dropped)
+            c, d = m.submatrix(dropped, keep), m.submatrix(dropped, dropped)
+            assert m.schur_complement(keep) == a - b * d.invert() * c
+        with pytest.raises(SingularBlock):
+            m.schur_complement([3, 4])
+
+
+def structural_fill(pattern, order):
+    """The entries that symmetric elimination in `order` makes nonzero
+    where the pattern (a set of (i, j) pairs) has none."""
+    filled = set(pattern)
+    new = set()
+    for t, v in enumerate(order):
+        later = [w for w in order[t + 1:] if (v, w) in filled]
+        new |= {(a, b) for a in later for b in later if a != b and (a, b) not in filled}
+        filled |= new
+    return new
+
+
+def test_schur_complement_of_an_arrow_eliminates_the_hub_last():
+    # vertex 0 is joined to every other; eliminating it first, as the
+    # natural order does, fills the whole block, and the fill order
+    # takes it last and fills nothing
+    n = 7
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[0][i] = Fraction(-i, 3)
+        rows[i][0] = Fraction(-i, 5)
+        rows[i][i] = Fraction(2 * i + 1, i + 1)
+    rows[0][0] = Fraction(11)
+    m = Matrix(rows)
+    keep, dropped = [n - 1], list(range(n - 1))
+    pattern = {(i, j) for i in range(n) for j in range(n) if rows[i][j] or rows[j][i]}
+    neighbours = {i: {j for j in range(n) if j != i and (i, j) in pattern} for i in range(n)}
+    order = min_degree_order(neighbours, dropped)
+    assert order == [1, 2, 3, 4, 5, 0]
+    assert structural_fill(pattern, dropped + keep) and not structural_fill(pattern, order + keep)
+    a, b = m.submatrix(keep, keep), m.submatrix(keep, dropped)
+    c, d = m.submatrix(dropped, keep), m.submatrix(dropped, dropped)
+    assert m.schur_complement(keep) == a - b * d.invert() * c
+    assert m.schur_complement([0]) == m.submatrix([0], [0]) - (
+        m.submatrix([0], dropped[1:] + keep)
+        * m.submatrix(dropped[1:] + keep, dropped[1:] + keep).invert()
+        * m.submatrix(dropped[1:] + keep, [0])
+    )
+
+
+def test_min_degree_order_breaks_ties_by_the_least_vertex():
+    # a path 3 - 1 - 4 - 2: the ends tie at degree 1, and 3 is taken first
+    neighbours = {1: {3, 4}, 2: {4}, 3: {1}, 4: {1, 2}}
+    assert min_degree_order(neighbours, [1, 2, 3, 4]) == [2, 3, 1, 4]
+    assert min_degree_order(neighbours, [1, 4]) == [1, 4]
+    assert neighbours == {1: {3, 4}, 2: {4}, 3: {1}, 4: {1, 2}}

@@ -193,6 +193,30 @@ class TestSolve:
                 )
                 assert sol.incoming[i - 1] == expect
 
+    def test_networks_where_the_fill_order_changes_the_pivots(self):
+        # at 30 vertices and 60 edges the solve eliminates interior vertices
+        # out of label order (8 to 15 interior vertices in all four draws),
+        # and the Schur complement too
+        rng = random.Random(0)
+        for _ in range(4):
+            net = random_network(rng, max_n=30, max_edges=60, require_nonroots=True)
+            circ = random_circuit(rng, net)
+            sol = solve(circ)
+            n, m = net.n, net.m
+            assert sol.voltages[m - 1] == 0
+            for v in range(m + 1, n + 1):
+                assert sum(sol.currents[v - 1]) == 0
+            for sp in net.superports:
+                assert sum(sol.incoming[k - 1] for k in sp) == 0
+            for k, d in circ.deltas:
+                assert sol.voltages[k - 1] - sol.voltages[net.root_of[k] - 1] == d
+            for k in range(1, m + 1):
+                assert sol.incoming[k - 1] == sum(sol.currents[k - 1])
+            L = response_matrices(net).superport_response
+            for i in net.non_roots:
+                expect = sum(L.entry(i, j) * circ.delta_map[j] for j in net.non_roots)
+                assert sol.incoming[i - 1] == expect
+
     def test_linearity(self):
         net = w_network(1, 2, 3, 4)
         a = solve(make_circuit(net, {1: 1, 2: 0, 4: 0}))

@@ -203,10 +203,10 @@ MUTANTS = {
         "rows[col], rows[pivot_row] = rows[pivot_row], [-x for x in rows[col]]",
         "rows[col], rows[pivot_row] = rows[pivot_row], rows[col]",
     ),
-    "eliminate-drops-zero-factor-branch": (
+    "eliminate-stale-row-divides-by-last-pivot": (
         "linalg.py",
-        "            elif pivot != prev:\n",
-        "            elif False:\n",
+        "                d = divs[r]\n",
+        "                d = prev\n",
     ),
     # c2l's five steps
     "c2l-step-1-drops-first-row": (
