@@ -27,10 +27,8 @@ from typing import Optional, Sequence
 from .forests import (
     DEFAULT_CAP,
     CapExceeded,
-    Forest,
     conductance_scale,
-    is_relatively_valid,
-    is_valid,
+    pattern_is_tree,
     walk_forests,
 )
 from .linalg import LinAlgError, Matrix, rat, rat_str, ratio_str
@@ -129,6 +127,7 @@ def cmd_response(args: argparse.Namespace) -> int:
 def cmd_forests(args: argparse.Namespace) -> int:
     net = load_network(args.network, merge_parallel=args.merge_parallel)
     kind = args.kind
+    # each kind but `all` keeps the forests whose X-quotient is a spanning tree
     if kind.startswith("relative:"):
         try:
             i = int(kind.split(":", 1)[1])
@@ -141,24 +140,25 @@ def cmd_forests(args: argparse.Namespace) -> int:
         if not net.is_boundary(i):
             print(f"vertex {i} is not a boundary vertex", file=sys.stderr)
             return 2
-        keep = lambda f: is_relatively_valid(f, net, i)
+        qg = net.quotient((i,))
     elif kind == "trees":
-        keep = lambda f: f.component_count == 1
+        qg = net.quotient(net.boundary)  # every class one vertex: the trees
     elif kind == "valid":
-        keep = lambda f: is_valid(f, net)
+        qg = net.quotient()
     elif kind == "all":
-        keep = None
+        qg = None
     else:
         print(f"unknown kind {kind!r}", file=sys.stderr)
         return 2
     walk = walk_forests(net, cap=args.cap)
+    m1 = net.m + 1
     scale = conductance_scale(net)
     # a forest with k edges weighs units / D**k, reduced here on integers
     names = [str(e) for e in range(len(net.edges))]
     powers = [scale ** k for k in range(net.n)]  # at most n - 1 edges
     write = sys.stdout.write
     for edges, labels, units, _ in walk:
-        if keep is not None and not keep(Forest(tuple(edges), tuple(labels), units, scale)):
+        if qg is not None and not pattern_is_tree(qg, len(edges), labels[1:m1]):
             continue
         line = " ".join([names[e] for e in edges])
         if args.weights:

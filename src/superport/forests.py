@@ -41,11 +41,14 @@ only where one is read.  Only statements about single forests (the
 cancellation involution, the combinatorial voltages and currents) still
 take forests one by one, those whose key admits them; each such forest's
 main cycle is searched for directly, and the involution reads only its
-ends, which the cancellation shares per (key, ends).  The per-forest
-predicates (`quotient_is_tree`, `forest_sign`, `separates`, ...) stay as the
-reference the pattern route is tested against.  `ForestEnsemble` holds all
-the forests by component count, with plain weight sums, for callers that
-read them more than once.  One union-find over quotient classes serves
+ends, which the cancellation shares per (key, ends).  `forests --kind` and
+the counting corollaries read patterns too, from the untracked walk: a
+kind's forests and the valid forests by `pattern_is_tree` on the edge count
+and labels, the trees by edge count alone.  The per-forest predicates
+(`quotient_is_tree`, `forest_sign`, `separates`, ...) stay as the reference
+the pattern route is tested against.  `ForestEnsemble` holds all the
+forests by component count, with plain weight sums, for callers that read
+them more than once.  One union-find over quotient classes serves
 validity, forest signs and the combinatorial voltages, from forest edges
 (`quotient_components`) or from a pattern (`pattern_components`);
 enumeration keeps component labels of its own, because it must undo each
@@ -149,25 +152,20 @@ class Forest(NamedTuple):
 
 
 def enumerate_spanning_forests(
-    net: SuperportNetwork,
-    predicate: Optional[Callable[[Forest], bool]] = None,
-    *,
-    cap: Optional[int] = DEFAULT_CAP,
+    net: SuperportNetwork, *, cap: Optional[int] = DEFAULT_CAP
 ) -> Iterator[Forest]:
     """Yield every spanning forest exactly once, as a `Forest`.
 
     The order is lexicographic in the edge-index tuples: (), (0,), (0, 1),
-    (0, 1, 2), (0, 2), (1,), ...  A predicate filters the output without
-    affecting the traversal.  The cap is checked before the first forest.
+    (0, 1, 2), (0, 2), (1,), ...  The cap is checked before the first forest.
     """
     walk = walk_forests(net, cap=cap)
     scale = conductance_scale(net)
     make = tuple.__new__  # builds a Forest without the keyword handling of Forest(...)
-    forests = (
+    return (
         make(Forest, (tuple(chosen), tuple(label), units, scale))
         for chosen, label, units, _ in walk
     )
-    return forests if predicate is None else filter(predicate, forests)
 
 
 class GroveNode:

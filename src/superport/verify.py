@@ -70,14 +70,14 @@ from .forests import (
     MainCycle,
     PatternFacts,
     check_cap,
-    enumerate_spanning_forests,
     main_cycle,
+    pattern_is_tree,
     pattern_separates,
     pattern_sign,
     permutation_parity,
     quotient_components,
-    quotient_is_tree,
     quotient_path,
+    walk_forests,
 )
 from .linalg import rat, rat_str
 from .network import (
@@ -689,29 +689,22 @@ def _glued_circuit(circuit: Circuit, i: int):
     """The quotient electrical circuit of the gluing statement.
 
     Returns (quotient circuit, vertex map).  Classes of the {i}-equivalence
-    become vertices; parallel edges merge by conductance sum; loops vanish.
+    become vertices; loops vanish, and the loader sums parallel edges.
     The boundary is the pair [i], [root(i)] with voltages 1 and 0, encoded
     as the difference at the pair's non-root after canonical relabeling.
     """
     net = circuit.network
     qg = net.quotient((i,))
     labels = qg.labels
-    acc: dict[tuple[int, int], Fraction] = {}
-    for u, v, c in net.edges:
-        a = labels[qg.class_of[u]]
-        b = labels[qg.class_of[v]]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        acc[key] = acc.get(key, Fraction(0)) + c
+    moved = ((labels[qg.class_of[u]], labels[qg.class_of[v]], c) for u, v, c in net.edges)
     bi = labels[qg.class_of[i]]
     br = labels[qg.class_of[net.root_of[i]]]
     raw = {
         "vertices": len(qg.classes),
-        "edges": [{"u": a, "v": b, "c": c} for (a, b), c in sorted(acc.items())],
+        "edges": [(a, b, c) for a, b, c in moved if a != b],
         "superports": [[bi, br]],
     }
-    quot_net, mapping = validate_and_canonicalize(raw)
+    quot_net, mapping = validate_and_canonicalize(raw, merge_parallel=True)
     # voltage 1 at [i], 0 at [root(i)]: the lone delta is U_1 - U_2
     delta = Fraction(1) if mapping[bi] == 1 else Fraction(-1)
     quot_circuit = make_circuit(quot_net, {1: delta})
@@ -757,18 +750,15 @@ def complete_network(m: int) -> SuperportNetwork:
     return canonical_network(edges, [list(range(1, m + 1))])
 
 
-def cayley_count(m: int, *, cap: Optional[int] = None) -> tuple[int, int]:
+def cayley_count(m: int, *, cap: Optional[int] = DEFAULT_CAP) -> tuple[int, int]:
     """(enumerated spanning trees of the unit complete graph, m ** (m-2))."""
     check_cap(math.comb(max(m, 0), 2), cap)
-    trees = enumerate_spanning_forests(
-        complete_network(m), lambda f: f.component_count == 1, cap=cap
-    )
-    brute = sum(1 for _ in trees)
+    brute = sum(len(edges) == m - 1 for edges, *_ in walk_forests(complete_network(m), cap=cap))
     closed = int(Fraction(m) ** (m - 2))
     return brute, closed
 
 
-def verify_cayley(m: int, *, cap: Optional[int] = None) -> Report:
+def verify_cayley(m: int, *, cap: Optional[int] = DEFAULT_CAP) -> Report:
     brute, closed = cayley_count(m, cap=cap)
     checks = _Checks("tree-count")
     checks.compare(brute, closed, m=m)
@@ -788,7 +778,7 @@ def verify_generalized_cayley(
     sizes: Sequence[int],
     *,
     rng: Optional[random.Random] = None,
-    cap: Optional[int] = None,
+    cap: Optional[int] = DEFAULT_CAP,
 ) -> Report:
     """The grouped tree count three ways.
 
@@ -804,11 +794,8 @@ def verify_generalized_cayley(
     n = sum(sizes)
     check_cap(math.comb(n, 2), cap)
     r = len(sizes)
-    groups: list[list[int]] = []
-    nxt = 1
-    for s in sizes:
-        groups.append(list(range(nxt, nxt + s)))
-        nxt += s
+    firsts = itertools.accumulate(sizes, initial=1)
+    groups = [list(range(first, first + s)) for first, s in zip(firsts, sizes)]
     net = canonical_network(complete_network(n).edges, groups)
     required: set[int] = set()
     pair_index = {(u, v): idx for idx, (u, v, _) in enumerate(net.edges)}
@@ -821,10 +808,10 @@ def verify_generalized_cayley(
         required.update(pair_index[e] for e in tree)
     quotient = net.quotient()
     valid_count = containing = 0
-    for f in enumerate_spanning_forests(net, cap=cap):
-        if quotient_is_tree(quotient, f):
+    for edges, labels, _, _ in walk_forests(net, cap=cap):
+        if pattern_is_tree(quotient, len(edges), labels[1 : net.m + 1]):
             valid_count += 1
-        if f.component_count == 1 and required.issubset(f.edges):
+        if len(edges) == n - 1 and required.issubset(edges):
             containing += 1
     closed = int(Fraction(n) ** (r - 2) * math.prod(sizes))
 

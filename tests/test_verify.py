@@ -48,7 +48,7 @@ from superport import (
     verify_valid_minor_sum,
 )
 from superport import forests, verify
-from superport.forests import pattern_partition_sign
+from superport.forests import ForestPass, pattern_partition_sign
 
 from conftest import (
     FIXTURE_NAMES,
@@ -299,6 +299,20 @@ class TestCounting:
         with pytest.raises(ValueError):
             verify_generalized_cayley([0, 2])
 
+    def test_the_cap_is_on_by_default(self, monkeypatch):
+        # K_7 has 21 edges, one over DEFAULT_CAP: refused before any walk
+        def walk(*args, **kwargs):
+            raise AssertionError("walked past the cap")
+
+        monkeypatch.setattr(verify, "walk_forests", walk)
+        for count in (
+            lambda: cayley_count(7),
+            lambda: verify_cayley(7),
+            lambda: verify_generalized_cayley([4, 3]),
+        ):
+            with pytest.raises(CapExceeded):
+                count()
+
 
 class TestBoxH:
     def test_formula_values(self):
@@ -524,6 +538,41 @@ class TestRunner:
             r for r in on_mesh if r["theorem"] in ratios
         ]
 
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_series_reduction_of_an_interior_vertex(self, seed):
+        # an interior vertex v with two edges a and b goes, and its neighbours
+        # gain one edge ab / (a + b), added to any edge between them: C and L
+        # stay.  On the forest side every tree and every valid forest reaches
+        # v, through a, b or both, so both weight sums shrink by exactly a + b
+        rng = random.Random(seed)
+        series = []
+        while not series:
+            net = random_network(rng, max_n=7, max_edges=11, require_nonroots=True)
+            series = [v for v in range(net.m + 1, net.n + 1) if len(net.adjacency[v]) == 2]
+        v = rng.choice(series)
+        (u, a), (w, b) = net.adjacency[v]
+        merged = {(s, t): c for s, t, c in net.edges if v not in (s, t)}
+        merged[u, w] = merged.get((u, w), 0) + a * b / (a + b)
+        reduced = canonical_network(
+            [(s, t, c) for (s, t), c in merged.items()], [list(sp) for sp in net.superports]
+        )
+        assert reduced.n == net.n - 1 and reduced.superports == net.superports
+        base, after = response_matrices(net), response_matrices(reduced)
+        assert after.response == base.response
+        assert after.superport_response == base.superport_response
+        sums = []
+        for candidate in (net, reduced):
+            p = ForestPass(candidate)
+            p.want()
+            p.run()
+            valid = candidate.m - candidate.p + 1
+            sums.append((p.weight(1), p.weight(valid, lambda key: p.facts(key).valid)))
+        assert sums[0] == tuple((a + b) * s for s in sums[1])
+        for candidate in (net, reduced):
+            reports = run_verifications(candidate, ["all"], rng=random.Random(seed))
+            assert reports and all(r.ok for r in reports)
+
 
 class TestRandomNetwork:
     def test_respects_bounds(self):
@@ -594,7 +643,7 @@ def broken_reports(monkeypatch) -> list[dict]:
     monkeypatch.setattr(forests, "pattern_partition_sign", lambda *args: -1)
     monkeypatch.setattr(verify, "solve", doubled)
     monkeypatch.setattr(verify, "cayley_count", overcounted)
-    monkeypatch.setattr(verify, "quotient_is_tree", lambda qg, f: False)
+    monkeypatch.setattr(verify, "pattern_is_tree", lambda qg, edges, pattern: False)
     monkeypatch.setattr(verify, "box_h", longer_leg)
     rng = random.Random(0)
     reports = [

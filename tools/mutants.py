@@ -229,11 +229,18 @@ MUTANTS = {
         "return Matrix(core, labels=non_roots).invert()",
         "return Matrix(core, labels=non_roots)",
     ),
-    # the gluing statement's quotient circuit
-    "gluing-keeps-last-conductance": (
+    # a forest-side sum read from the matrix route: its values are right, so
+    # the campaign passes, and tests/test_routes.py sees the routes cross
+    "valid-weight-from-det-l": (
         "verify.py",
-        "acc[key] = acc.get(key, Fraction(0)) + c",
-        "acc[key] = c",
+        "    return p.weight(net.m - net.p + 1, lambda key: p.facts(key).valid)\n",
+        "    return p.weight(1) / response_matrices(net).superport_response.det()\n",
+    ),
+    # the gluing statement's quotient circuit, merged by the loader
+    "gluing-keeps-last-conductance": (
+        "network.py",
+        "            merged[(u, v)] += c\n",
+        "            merged[(u, v)] = c\n",
     ),
 }
 
