@@ -156,16 +156,24 @@ def cmd_forests(args: argparse.Namespace) -> int:
     # a forest with k edges weighs units / D**k, reduced here on integers
     names = [str(e) for e in range(len(net.edges))]
     powers = [scale ** k for k in range(net.n)]  # at most n - 1 edges
+    # texts[k] is the text of the first k edges: each forest after the first
+    # is its predecessor cut back to a prefix plus one edge, so its text is
+    # one concatenation
+    texts = [""] * net.n
     write = sys.stdout.write
     for edges, labels, units, _ in walk:
-        if qg is not None and not pattern_is_tree(qg, len(edges), labels[1:m1]):
+        k = len(edges)
+        if k:
+            name = names[edges[-1]]
+            texts[k] = texts[k - 1] + " " + name if k > 1 else name
+        if qg is not None and not pattern_is_tree(qg, k, labels[1:m1]):
             continue
-        line = " ".join([names[e] for e in edges])
         if args.weights:
-            power = powers[len(edges)]
+            power = powers[k]
             g = gcd(units, power)
-            line += "\t" + ratio_str(units // g, power // g)
-        write(line + "\n")
+            write(f"{texts[k]}\t{ratio_str(units // g, power // g)}\n")
+        else:
+            write(texts[k] + "\n")
     return 0
 
 

@@ -61,7 +61,7 @@ class SingularBlock(LinAlgError):
     """The eliminated block of a Schur complement is singular."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def rat(value: object) -> Fraction:
@@ -73,10 +73,11 @@ def rat(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if not match:
             raise ValueError(f"not a rational literal: {value!r}")
-        return Fraction(text)
+        numerator, denominator = match.groups()
+        return Fraction(int(numerator), int(denominator or 1))
     raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
 
 

@@ -10,11 +10,17 @@ vertices and p superports:
   vertices: it maps prescribed within-superport voltage differences to
   incoming boundary currents.
 
-`c2l` performs the reduction from C to L by a five-step sequence of matrix
-operations; `response_from_K` runs the same reduction directly on K by
-treating interior vertices as singleton superports, which must give the same
-matrix.  `solve` computes the voltages and currents of a circuit from the
-defining linear system, independently of any of those reductions.
+`c2l` reduces C to L with no inversion.  It takes the voltages in the
+coordinates δ_k = U_k - U_root(k) at the non-roots, the root voltages, and
+U_m = 0; in them the response's root rows are the superports' total
+incoming currents, which must be zero, and L is its Schur complement onto
+the non-roots: one elimination of the other p - 1 roots.  It raises
+SingularIntermediate when C without row and column m, or its roots' block,
+is singular.  `response_from_K` runs the same reduction directly on K by
+treating interior vertices as singleton superports, so they go in the same
+single elimination, which must give the same matrix.  `solve` computes the
+voltages and currents of a circuit from the defining linear system,
+independently of any of those reductions.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, SingularMatrix, min_degree_order, solve_linear_system
+from .linalg import Matrix, SingularBlock, min_degree_order, solve_linear_system
 from .network import Circuit, Solution, SuperportNetwork, make_circuit
 
 __all__ = [
@@ -57,14 +63,20 @@ class NoNonRootVertices(SolverError):
 
 
 def kirchhoff_matrix(net: SuperportNetwork) -> Matrix:
-    """Weighted Laplacian, labeled by the vertices 1..n."""
+    """Weighted Laplacian, labeled by the vertices 1..n.  Each entry is
+    summed in integer units of 1/D, D the least common denominator of the
+    conductances, and becomes a Fraction once."""
     n = net.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    scale = lcm(*(c.denominator for _, _, c in net.edges))
+    grid = [[0] * n for _ in range(n)]
     for u, v, c in net.edges:
-        rows[u - 1][v - 1] -= c
-        rows[v - 1][u - 1] -= c
-        rows[u - 1][u - 1] += c
-        rows[v - 1][v - 1] += c
+        units = c.numerator * (scale // c.denominator)
+        grid[u - 1][v - 1] -= units
+        grid[v - 1][u - 1] -= units
+        grid[u - 1][u - 1] += units
+        grid[v - 1][v - 1] += units
+    zero = Fraction(0)
+    rows = [[Fraction(x, scale) if x else zero for x in row] for row in grid]
     return Matrix(rows, labels=range(1, n + 1))
 
 
@@ -94,19 +106,20 @@ def c2l(C: Matrix, superports: Sequence[Sequence[int]]) -> Matrix:
 
     C must be m-by-m, labeled 1..m, with the superports partitioning 1..m in
     canonical order (each block ascending, so the root of a block is its last
-    entry and the root of the final block is m).  Steps:
-
-      1. drop row and column m, invert;
-      2. for every non-root k whose root is not m, subtract column root(k)
-         from column k;
-      3. the same for rows, applied to the result of step 2;
-      4. drop the rows and columns of the remaining roots;
-      5. invert.
+    entry and the root of the final block is m).  Take the voltages in the
+    coordinates δ_k = U_k - U_root(k) at the non-roots k, U_r at the roots r
+    other than m, and U_m = 0.  In them the response is C without row and
+    column m, each non-root's column then row added into its root's: the
+    root rows become the superports' total incoming currents.  L is the
+    Schur complement of that matrix onto the non-roots, which eliminates the
+    other p - 1 roots in one elimination, so the total currents are zero.
 
     The result is labeled by the non-root vertices.  With a single superport
-    steps 2 through 4 do nothing and the result is C with row and column m
-    removed.  Raises NoNonRootVertices when every vertex is a root and
-    SingularIntermediate when an inversion fails.
+    nothing is added or eliminated and the result is C with row and column m
+    removed.  Raises NoNonRootVertices when every vertex is a root, and
+    SingularIntermediate when the roots' block of that matrix is singular,
+    which the elimination finds, or C without row and column m is: its
+    determinant is the roots' block's times det L.
     """
     sps = _check_canonical_superports(superports)
     m = sum(len(sp) for sp in sps)
@@ -114,39 +127,29 @@ def c2l(C: Matrix, superports: Sequence[Sequence[int]]) -> Matrix:
         raise ValueError(f"expected a {m}x{m} matrix, got {C.shape[0]}x{C.shape[1]}")
     if C.row_labels != tuple(range(1, m + 1)) or C.col_labels != tuple(range(1, m + 1)):
         raise ValueError("matrix must be labeled 1..m on both axes")
-    roots = {sp[-1] for sp in sps}
-    root_of = {v: sp[-1] for sp in sps for v in sp}
-    non_roots = [v for v in range(1, m + 1) if v not in roots]
+    non_roots = [v for sp in sps for v in sp[:-1]]
     if not non_roots:
         raise NoNonRootVertices(f"all {m} boundary vertices are roots")
 
+    # C without row and column m, each non-root's column and then its row
+    # added into its root's (by position); the last superport's root is m
+    a = [list(row[: m - 1]) for row in C.entries[: m - 1]]
+    summed = [(sp[-1] - 1, [k - 1 for k in sp[:-1]]) for sp in sps[:-1]]
+    for row in a:
+        for r, ks in summed:
+            for k in ks:
+                if row[k]:
+                    row[r] += row[k]
+    for r, ks in summed:
+        for k in ks:
+            a[r] = [x + y if y else x for x, y in zip(a[r], a[k])]
     try:
-        inv = C.submatrix(range(m - 1), range(m - 1)).invert()
-    except SingularMatrix:
+        L = Matrix(a, labels=range(1, m)).schur_complement(k - 1 for k in non_roots)
+    except SingularBlock:
+        raise SingularIntermediate("the roots' block of the response is singular")
+    if L.det() == 0:
         raise SingularIntermediate("response with last row and column dropped is singular")
-
-    labels = list(range(1, m))
-    pos = {v: i for i, v in enumerate(labels)}
-    a = [list(row) for row in inv.entries]
-    for k in non_roots:
-        r = root_of[k]
-        if r == m:
-            continue
-        for i in range(m - 1):
-            a[i][pos[k]] -= a[i][pos[r]]
-    for k in non_roots:
-        r = root_of[k]
-        if r == m:
-            continue
-        rk, rr = pos[k], pos[r]
-        a[rk] = [a[rk][j] - a[rr][j] for j in range(m - 1)]
-
-    keep = [pos[v] for v in non_roots]
-    core = [[a[i][j] for j in keep] for i in keep]
-    try:
-        return Matrix(core, labels=non_roots).invert()
-    except SingularMatrix:
-        raise SingularIntermediate("reduced matrix is singular")
+    return L
 
 
 def response_from_K(K: Matrix, superports: Sequence[Sequence[int]]) -> Matrix:

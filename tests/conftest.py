@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from superport import canonical_network
+from superport import Matrix, SingularIntermediate, SingularMatrix, canonical_network
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -65,3 +65,33 @@ def side_square(a, b, c, d):
     return canonical_network(
         [(1, 3, a), (1, 2, b), (2, 4, c), (3, 4, d)], [[1, 2], [3, 4]]
     )
+
+
+def five_step_c2l(C, superports):
+    """The paper's five-step reduction of C to L, the reference that
+    `superport.c2l` is held to: 1. drop row and column m, invert; 2. for
+    every non-root k whose root is not m, subtract column root(k) from
+    column k; 3. the same for rows; 4. drop the remaining roots; 5. invert.
+    Raises SingularIntermediate when an inversion fails."""
+    m = C.rows
+    root_of = {v: sp[-1] for sp in superports for v in sp}
+    non_roots = [v for sp in superports for v in sp[:-1]]
+    try:
+        inv = C.submatrix(range(m - 1), range(m - 1)).invert()
+    except SingularMatrix:
+        raise SingularIntermediate("response with last row and column dropped is singular")
+    a = [list(row) for row in inv.entries]
+    for k in non_roots:
+        r = root_of[k]
+        if r != m:
+            for row in a:
+                row[k - 1] -= row[r - 1]
+    for k in non_roots:
+        r = root_of[k]
+        if r != m:
+            a[k - 1] = [x - y for x, y in zip(a[k - 1], a[r - 1])]
+    core = [[a[i - 1][j - 1] for j in non_roots] for i in non_roots]
+    try:
+        return Matrix(core, labels=non_roots).invert()
+    except SingularMatrix:
+        raise SingularIntermediate("reduced matrix is singular")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from superport import (
     unify_superports,
 )
 
-from conftest import diagonal_square, rational_tuple, side_square, w_network
+from conftest import diagonal_square, five_step_c2l, rational_tuple, side_square, w_network
 
 
 class TestKirchhoffMatrix:
@@ -265,3 +266,66 @@ def test_solution_scales_with_conductance(seed):
     assert scaled.voltages == base.voltages
     for u, v, _ in net.edges:
         assert scaled.currents[u - 1][v - 1] == t * base.currents[u - 1][v - 1]
+
+
+def draw_network(rng: random.Random, interior: bool):
+    """The first `random_network(require_nonroots=True)` draw of the stream
+    that has interior vertices, or that has none."""
+    while True:
+        net = random_network(rng, require_nonroots=True)
+        if (net.n > net.m) == interior:
+            return net
+
+
+def reduce_or_singular(reduce, C, superports):
+    try:
+        return reduce(C, superports)
+    except SingularIntermediate:
+        return "singular"
+
+
+class TestC2LAgainstFiveSteps:
+    """`c2l` eliminates the roots from the root-summed response; the paper
+    reduces C to L in five steps with two inversions.  Both give one matrix,
+    and fail on the same inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9), st.booleans())
+    def test_on_random_networks_and_through_K(self, seed, interior):
+        net = draw_network(random.Random(seed), interior)
+        C = electrical_response(net)
+        assert c2l(C, net.superports) == five_step_c2l(C, net.superports)
+        K = kirchhoff_matrix(net)
+        extended = [*net.superports, *([v] for v in range(net.m + 1, net.n + 1))]
+        assert response_from_K(K, net.superports) == five_step_c2l(K, extended)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_on_rational_matrices_singular_or_not(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        if all(size == 1 for size in sizes):
+            sizes[0] = 2
+        m = sum(sizes)
+        superports = [list(range(end - size + 1, end + 1))
+                      for size, end in zip(sizes, accumulate(sizes))]
+        # small entries, zero half the time, make singular blocks common
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+        C = Matrix(data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                      min_size=m, max_size=m)), labels=range(1, m + 1))
+        assert reduce_or_singular(c2l, C, superports) == reduce_or_singular(
+            five_step_c2l, C, superports
+        )
+
+
+def test_response_matrices_inverts_nothing(monkeypatch):
+    calls = []
+    invert = Matrix.invert
+
+    def counting(self):
+        calls.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(Matrix, "invert", counting)
+    for seed in range(5):
+        response_matrices(random_network(random.Random(seed), require_nonroots=True))
+    assert calls == []

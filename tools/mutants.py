@@ -14,7 +14,8 @@ matrix, one row per mutant and one column per theorem, holding the number of
 failed reports.  The unmutated copy runs first and must pass, or the
 matrix would mean nothing.  With ``--tier1`` it also runs the tier-1 tests on every
 mutant the campaign did not kill (``--tier1 all``: on every mutant), all but
-the check that each mutant's text occurs in the unmutated source.
+the check that each mutant's text occurs in the unmutated source, and names
+the tests that fail: their number and the first few ids.
 
 The script stops with an error, before running anything, when a mutant's
 text is not found exactly once in its file.  The working tree is never
@@ -193,11 +194,6 @@ MUTANTS = {
         "for lhs in (entry, C.entry(i, j)):",
     ),
     # the matrix side
-    "c2l-step-2-adds": (
-        "solver.py",
-        "            a[i][pos[k]] -= a[i][pos[r]]",
-        "            a[i][pos[k]] += a[i][pos[r]]",
-    ),
     "eliminate-swap-keeps-sign": (
         "linalg.py",
         "rows[col], rows[pivot_row] = rows[pivot_row], [-x for x in rows[col]]",
@@ -208,26 +204,41 @@ MUTANTS = {
         "                d = divs[r]\n",
         "                d = prev\n",
     ),
-    # c2l's five steps
-    "c2l-step-1-drops-first-row": (
+    # K in integer units, and c2l's root sums and one elimination
+    "kirchhoff-drops-second-diagonal": (
         "solver.py",
-        "inv = C.submatrix(range(m - 1), range(m - 1)).invert()",
-        "inv = C.submatrix(range(1, m), range(1, m)).invert()",
+        "        grid[v - 1][v - 1] += units\n",
+        "",
     ),
-    "c2l-step-3-adds": (
+    "kirchhoff-units-not-scaled": (
         "solver.py",
-        "a[rk] = [a[rk][j] - a[rr][j] for j in range(m - 1)]",
-        "a[rk] = [a[rk][j] + a[rr][j] for j in range(m - 1)]",
+        "Fraction(x, scale) if x else zero",
+        "Fraction(x) if x else zero",
     ),
-    "c2l-step-4-keeps-row-m-1": (
+    "c2l-root-column-not-summed": (
         "solver.py",
-        "core = [[a[i][j] for j in keep] for i in keep]",
-        "core = [[a[i][j] for j in keep] for i in [*keep[:-1], m - 2]]",
+        "                    row[r] += row[k]\n",
+        "                    pass\n",
     ),
-    "c2l-step-5-skipped": (
+    "c2l-root-row-not-summed": (
         "solver.py",
-        "return Matrix(core, labels=non_roots).invert()",
-        "return Matrix(core, labels=non_roots)",
+        "a[r] = [x + y if y else x for x, y in zip(a[r], a[k])]",
+        "a[r] = list(a[r])",
+    ),
+    "c2l-subtracts-into-root": (
+        "solver.py",
+        "                    row[r] += row[k]\n",
+        "                    row[r] -= row[k]\n",
+    ),
+    "c2l-eliminates-non-roots": (
+        "solver.py",
+        ".schur_complement(k - 1 for k in non_roots)",
+        ".schur_complement(r for r, _ in summed)",
+    ),
+    "c2l-drops-singular-check": (
+        "solver.py",
+        "    if L.det() == 0:\n",
+        "    if False:\n",
     ),
     # a forest-side sum read from the matrix route: its values are right, so
     # the campaign passes, and tests/test_routes.py sees the routes cross
@@ -292,14 +303,28 @@ def run_campaign(copy: Path) -> tuple[str, Counter]:
 TEXT_CHECK = "tests/test_mutants.py::test_every_mutant_text_occurs_once"
 
 
+KILLERS_SHOWN = 3
+
+
 def run_tier1(copy: Path) -> str:
+    """"pass", or "fail" with the number of failing tests and the first few
+    ids, read from pytest's summary lines."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--deselect", TEXT_CHECK, "tests"],
         cwd=copy, env=env, capture_output=True, text=True,
     )
-    return "pass" if done.returncode == 0 else "fail"
+    if done.returncode == 0:
+        return "pass"
+    killers = [
+        line.split(" ", 1)[1].split(" - ", 1)[0]
+        for line in done.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    shown = ", ".join(killers[:KILLERS_SHOWN])
+    more = len(killers) - KILLERS_SHOWN
+    return f"fail {len(killers)}: {shown}" + (f" (+{more} more)" if more > 0 else "")
 
 
 def main(argv=None) -> int:
