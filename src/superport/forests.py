@@ -48,7 +48,8 @@ and labels, the trees by edge count alone.  The per-forest predicates
 (`quotient_is_tree`, `forest_sign`, `separates`, ...) stay as the reference
 the pattern route is tested against.  `ForestEnsemble` holds all the
 forests by component count, with plain weight sums, for callers that read
-them more than once.  One union-find over quotient classes serves
+them more than once.  The package's one union-find, `network._join`,
+which also checks the loader's connectivity, joins quotient classes for
 validity, forest signs and the combinatorial voltages, from forest edges
 (`quotient_components`) or from a pattern (`pattern_components`);
 enumeration keeps component labels of its own, because it must undo each
@@ -65,9 +66,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .network import QuotientGraph, SuperportNetwork
+from .network import QuotientGraph, SuperportNetwork, _join
 
 __all__ = [
     "DEFAULT_CAP",
@@ -305,31 +306,6 @@ def pattern_components(qg: QuotientGraph, pattern: Sequence[int]) -> tuple[list[
     cls = qg.class_of
     joins = ((cls[v], cls[least]) for v, least in enumerate(pattern, 1) if least != v)
     return _join(len(qg.classes), joins)
-
-
-def _join(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], bool]:
-    """The one union-find over quotient classes: join each pair of classes.
-
-    Links always point from a larger class to a smaller one, so one
-    ascending pass resolves every label to the least class of its
-    component.
-    """
-    least = list(range(size))
-    acyclic = True
-    for a, b in pairs:
-        while least[a] != a:
-            a = least[a]
-        while least[b] != b:
-            b = least[b]
-        if a == b:
-            acyclic = False
-        elif a < b:
-            least[b] = a
-        else:
-            least[a] = b
-    for c in range(size):
-        least[c] = least[least[c]]
-    return least, acyclic
 
 
 def quotient_path(

@@ -236,6 +236,14 @@ def _solve(a: Sequence[Sequence[Fraction]], n: int) -> list[list[Fraction]]:
     return [[Fraction(x, det) for x in xs] for xs in scaled]
 
 
+def _index(labels: Sequence[int], label: int, axis: str) -> int:
+    """Position of `label` in `labels`; a ValueError naming it if absent."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise ValueError(f"matrix has no {axis} {label!r}") from None
+
+
 class Matrix:
     """Immutable rational matrix with optional integer row/column labels."""
 
@@ -291,23 +299,19 @@ class Matrix:
     def row_pos(self, label: int) -> int:
         if self.row_labels is None:
             raise ValueError("matrix has no row labels")
-        return self.row_labels.index(label)
+        return _index(self.row_labels, label, "row")
 
     def col_pos(self, label: int) -> int:
         if self.col_labels is None:
             raise ValueError("matrix has no column labels")
-        return self.col_labels.index(label)
+        return _index(self.col_labels, label, "column")
 
     def entry(self, row_label: int, col_label: int) -> Fraction:
-        """Entry addressed by labels (falls back to 1-based positions)."""
-        if self.row_labels is not None:
-            i = self.row_pos(row_label)
-        else:
-            i = row_label - 1
-        if self.col_labels is not None:
-            j = self.col_pos(col_label)
-        else:
-            j = col_label - 1
+        """Entry addressed by labels, or by 1-based positions on an axis
+        without labels; raises ValueError for a row or column the matrix
+        does not have."""
+        i = _index(self.row_labels or range(1, self.rows + 1), row_label, "row")
+        j = _index(self.col_labels or range(1, self.cols + 1), col_label, "column")
         return self.entries[i][j]
 
     # -- arithmetic -----------------------------------------------------------
@@ -366,8 +370,14 @@ class Matrix:
     # -- structure ------------------------------------------------------------
 
     def submatrix(self, row_positions: Iterable[int], col_positions: Iterable[int]) -> "Matrix":
+        """Submatrix at 0-based positions, in the order given; raises
+        ValueError for a position the matrix does not have."""
         rp = list(row_positions)
         cp = list(col_positions)
+        for axis, positions, count in (("row", rp, self.rows), ("column", cp, self.cols)):
+            outside = [i for i in positions if not 0 <= i < count]
+            if outside:
+                raise ValueError(f"{axis} positions {outside} out of range")
         rlab = tuple(self.row_labels[i] for i in rp) if self.row_labels else None
         clab = tuple(self.col_labels[j] for j in cp) if self.col_labels else None
         return Matrix(

@@ -380,24 +380,6 @@ def validate_and_canonicalize(
             f"declared {n} vertices but {len(labels)} distinct labels appear",
         )
 
-    # connectivity over original labels
-    adj: dict[int, list[int]] = {v: [] for v in labels}
-    for u, v in merged:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = next(iter(labels))
-    seen_bfs = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen_bfs:
-                seen_bfs.add(w)
-                stack.append(w)
-    if len(seen_bfs) != n:
-        missing = sorted(labels - seen_bfs)
-        raise Disconnected(f"vertices {missing} are not connected to vertex {start}")
-
     mapping: dict[int, int] = {}
     nxt = 1
     for sp in superports:
@@ -408,6 +390,13 @@ def validate_and_canonicalize(
         mapping[v] = nxt
         nxt += 1
 
+    least, _ = _join(n + 1, ((mapping[u], mapping[v]) for u, v in merged))
+    start = next(iter(labels))
+    component = least[mapping[start]]
+    missing = sorted(v for v, w in mapping.items() if least[w] != component)
+    if missing:
+        raise Disconnected(f"vertices {missing} are not connected to vertex {start}")
+
     new_edges = sorted(
         (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]), c)
         for (u, v), c in merged.items()
@@ -415,6 +404,31 @@ def validate_and_canonicalize(
     new_superports = tuple(tuple(mapping[v] for v in sp) for sp in superports)
     net = SuperportNetwork(n=n, edges=tuple(new_edges), superports=new_superports)
     return net, mapping
+
+
+def _join(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], bool]:
+    """The package's one union-find: join each pair of classes 0..size-1.
+
+    Links always point from a larger class to a smaller one, so one
+    ascending pass resolves every label to the least class of its
+    component.  Also returns whether no pair fell inside one component.
+    """
+    least = list(range(size))
+    acyclic = True
+    for a, b in pairs:
+        while least[a] != a:
+            a = least[a]
+        while least[b] != b:
+            b = least[b]
+        if a == b:
+            acyclic = False
+        elif a < b:
+            least[b] = a
+        else:
+            least[a] = b
+    for c in range(size):
+        least[c] = least[least[c]]
+    return least, acyclic
 
 
 # the network loader is the validator itself

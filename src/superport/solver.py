@@ -19,8 +19,12 @@ SingularIntermediate when C without row and column m, or its roots' block,
 is singular.  `response_from_K` runs the same reduction directly on K by
 treating interior vertices as singleton superports, so they go in the same
 single elimination, which must give the same matrix.  `solve` computes the
-voltages and currents of a circuit from the defining linear system,
-independently of any of those reductions.
+voltages and currents of a circuit in the same coordinates: with the
+prescribed differences substituted, its unknowns are the interior voltages
+and the roots' voltages but U_m, and its matrix is the Kirchhoff matrix of
+the network with each superport contracted to its root, grounded at m,
+eliminated in one minimum-degree order.  It builds that matrix from the
+edges, independently of K, C and those reductions.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import Matrix, SingularBlock, min_degree_order, solve_linear_system
 from .network import Circuit, Solution, SuperportNetwork, make_circuit
@@ -201,63 +205,50 @@ def response_matrices(net: SuperportNetwork) -> ResponseMatrices:
 def solve(circuit: Circuit) -> Solution:
     """Solve a circuit exactly.
 
-    The unknowns are the voltages at every vertex except m, where U_m = 0.
-    The equations are the prescribed differences U_k - U_root(k) at the
-    non-root boundary vertices, current conservation at the interior
-    vertices, and zero total incoming current over each superport but the
-    last; that is (m - p) + (n - m) + (p - 1) = n - 1 equations.  Each
-    equation is paired with an unknown, and both are taken in one order:
-    the non-roots with their differences, ascending; the interior vertices
-    with their conservation rows, in `min_degree_order` on the network with
-    each superport merged into its root and the last one, which holds m,
-    grounded; then the other roots with their superports' rows.  The
-    conservation rows are in integer units of 1/D, D the least common
-    denominator of the conductances.
+    Each non-root k stands for U_root(k) + δ_k and U_m = 0, so the unknowns
+    are the voltages at the interior vertices and at the roots but m, an
+    interior vertex being its own root: (n - m) + (p - 1) of them.  Their
+    equations are current conservation at each interior vertex and zero
+    total incoming current over each superport but the last.  An edge
+    (u, v, c) with a = root(u) and b = root(v) adds c (U_a - U_b + δ_u - δ_v)
+    to a's row and its negative to b's, the known c (δ_u - δ_v) moving to
+    the right-hand side; an edge with a = b cancels in its superport's row.
+    So the matrix is the Kirchhoff matrix of the network with each superport
+    contracted to its root, grounded at m: symmetric with a positive
+    diagonal on a connected network, and eliminated in one
+    `min_degree_order` over all the unknowns.  The rows are in integer units
+    of 1/D, D the least common denominator of the conductances.  Each
+    voltage is read back as U_v = U_root(v) + δ_v.
     """
     net = circuit.network
     n, m = net.n, net.m
     scale = lcm(*(c.denominator for _, _, c in net.edges))
+    root_of = net.root_of
+    delta = {k: d for k, d in circuit.deltas if d}
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    rhs = [0] * (n + 1)
+    for u, v, c in net.edges:
+        a, b = root_of.get(u, u), root_of.get(v, v)
+        if a == b:
+            continue
+        units = c.numerator * (scale // c.denominator)
+        grid[a][a] += units
+        grid[b][b] += units
+        grid[a][b] -= units
+        grid[b][a] -= units
+        if u in delta or v in delta:
+            known = units * (delta.get(u, 0) - delta.get(v, 0))
+            rhs[a] -= known
+            rhs[b] += known
 
-    def conservation(vertices: Iterable[int]) -> dict[int, int]:
-        row: dict[int, int] = {}
-        for k in vertices:
-            for w, c in net.adjacency[k]:
-                units = c.numerator * (scale // c.denominator)
-                row[k] = row.get(k, 0) + units
-                row[w] = row.get(w, 0) - units
-        return row
-
-    equations = {k: ({k: 1, net.root_of[k]: -1}, d) for k, d in circuit.deltas}
-    interior = range(m + 1, n + 1)
-    for v in interior:
-        equations[v] = (conservation((v,)), 0)
-    for sp in net.superports[:-1]:
-        equations[sp[-1]] = (conservation(sp), 0)
-
-    # once the non-roots are eliminated, a row's pattern is its vertices
-    # merged into their superports' roots, with m grounded
-    merged = {v: net.root_of.get(v, v) for v in range(1, n + 1)}
-    neighbours = {
-        v: {merged[w] for w in equations[v][0]} - {v, m} for v in (*interior, *net.roots[:-1])
-    }
-    order = [*net.non_roots, *min_degree_order(neighbours, interior), *net.roots[:-1]]
-
-    col = {v: i for i, v in enumerate(order)}
-    rows: list[list[int]] = []
-    rhs = []
-    for v in order:
-        coefficients, value = equations[v]
-        row = [0] * (n - 1)
-        for w, x in coefficients.items():
-            if w != m:
-                row[col[w]] = x
-        rows.append(row)
-        rhs.append(value)
-
-    values = solve_linear_system(rows, rhs)
-    voltages = tuple(
-        Fraction(0) if v == m else values[col[v]] for v in range(1, n + 1)
-    )
+    # row and column m are never read: that grounds m
+    unknowns = [*net.roots[:-1], *range(m + 1, n + 1)]
+    neighbours = {v: {w for w in unknowns if grid[v][w]} - {v} for v in unknowns}
+    order = min_degree_order(neighbours, unknowns)
+    rows = [[grid[v][w] for w in order] for v in order]
+    level = dict(zip(order, solve_linear_system(rows, [rhs[v] for v in order])))
+    level[m] = Fraction(0)
+    voltages = tuple(level[root_of.get(v, v)] + delta.get(v, 0) for v in range(1, n + 1))
     currents = [c * (voltages[u - 1] - voltages[v - 1]) for u, v, c in net.edges]
     return Solution.from_edge_currents(net, voltages, currents)
 

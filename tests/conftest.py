@@ -5,7 +5,14 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from superport import Matrix, SingularIntermediate, SingularMatrix, canonical_network
+from superport import (
+    Matrix,
+    SingularIntermediate,
+    SingularMatrix,
+    Solution,
+    canonical_network,
+    solve_linear_system,
+)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -95,3 +102,41 @@ def five_step_c2l(C, superports):
         return Matrix(core, labels=non_roots).invert()
     except SingularMatrix:
         raise SingularIntermediate("reduced matrix is singular")
+
+
+def defining_solve(circuit):
+    """The circuit's defining linear system, the reference that
+    `superport.solve` is held to: the unknowns are U_v at every vertex but
+    m, where U_m = 0, in label order, and the n - 1 equations, in natural
+    order, are the prescribed differences U_k - U_root(k) = δ_k, current
+    conservation at each interior vertex, and zero total incoming current
+    over each superport but the last."""
+    net = circuit.network
+    n, m = net.n, net.m
+    unknowns = [v for v in range(1, n + 1) if v != m]
+    col = {v: i for i, v in enumerate(unknowns)}
+
+    def row(coefficients):
+        out = [Fraction(0)] * (n - 1)
+        for v, x in coefficients:
+            if v != m:
+                out[col[v]] += x
+        return out
+
+    def outflow(vertices):
+        terms = []
+        for u, v, c in net.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in vertices:
+                    terms += [(a, c), (b, -c)]
+        return row(terms)
+
+    rows = [row(((k, 1), (net.root_of[k], -1))) for k, _ in circuit.deltas]
+    rhs = [d for _, d in circuit.deltas]
+    for group in [*([v] for v in range(m + 1, n + 1)), *net.superports[:-1]]:
+        rows.append(outflow(set(group)))
+        rhs.append(Fraction(0))
+    values = dict(zip(unknowns, solve_linear_system(rows, rhs)))
+    voltages = [values.get(v, Fraction(0)) for v in range(1, n + 1)]
+    currents = [c * (voltages[u - 1] - voltages[v - 1]) for u, v, c in net.edges]
+    return Solution.from_edge_currents(net, voltages, currents)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,30 @@ class TestMatrixBasics:
         m = Matrix([[1, 2], [3, 4]], labels=(2, 5))
         assert m.entry(5, 2) == 3
         assert m.row_pos(5) == 1
+
+    @pytest.mark.parametrize(
+        "row, col, missing",
+        [(0, 0, "row 0"), (-1, 1, "row -1"), (3, 1, "row 3"), (1, 3, "column 3"), (2, 0, "column 0")],
+    )
+    def test_entry_refuses_positions_outside_the_matrix(self, row, col, missing):
+        # negative and zero positions once read Python's negative indexing
+        with pytest.raises(ValueError, match=f"matrix has no {missing}$"):
+            Matrix([[1, 2], [3, 4]]).entry(row, col)
+
+    def test_entry_and_take_refuse_a_missing_label(self):
+        m = Matrix([[1, 2], [3, 4]], labels=(2, 5))
+        with pytest.raises(ValueError, match="matrix has no row 1$"):
+            m.entry(1, 2)
+        with pytest.raises(ValueError, match="matrix has no column 3$"):
+            m.take((2,), (3,))
+
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [([-1], [-1], "row positions [-1]"), ([0], [2], "column positions [2]")],
+    )
+    def test_submatrix_refuses_positions_outside_the_matrix(self, rows, cols, message):
+        with pytest.raises(ValueError, match=re.escape(message + " out of range")):
+            Matrix([[1, 2], [3, 4]]).submatrix(rows, cols)
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):

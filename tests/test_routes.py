@@ -4,7 +4,8 @@ reaches the linear algebra it is compared with.
 Only the theorems that hold a matrix route against a forest route belong
 here: kirchhoff, kw, entries, detl and the signed sum.  gluing and box-h
 compare two linear-algebra computations by design, and the valid-minor sum
-reads matrices on both sides.
+reads matrices on both sides.  The forest solution holds `solve` against
+the forest formulas, so its two routes are checked too.
 
 A profile hook records every function of the package that each route
 reaches, by module and top-level name (a nested function or comprehension
@@ -23,7 +24,16 @@ from pathlib import Path
 
 import pytest
 
-from superport import SuperportNetwork, random_network, response_matrices, verify
+from superport import (
+    SuperportNetwork,
+    combinatorial_solution,
+    make_circuit,
+    random_circuit,
+    random_network,
+    response_matrices,
+    solve,
+    verify,
+)
 from superport.forests import ForestPass, pattern_sign
 
 # the hook names functions by `co_qualname`, which code objects carry from 3.11
@@ -42,6 +52,15 @@ SHARED = {
     "network.SuperportNetwork.superport_index",
     "network.SuperportNetwork.adjacency",
     "network.SuperportNetwork.is_boundary",
+}
+
+# what both sides of the forest solution may also reach: the circuit's
+# construction, and the Solution built from the edge currents
+CIRCUIT = {
+    "network.make_circuit",
+    "network._require_cover",
+    "linalg.rat",
+    "network.Solution.from_edge_currents",
 }
 
 THEOREMS = ("kirchhoff", "kw", "entries", "detl", "signedsum")
@@ -104,3 +123,14 @@ def test_the_routes_share_only_network_accessors():
         matrix, forest = reached(matrix_route, net), reached(forest_route, net)
         assert "solver.response_matrices" in matrix and "forests._walk" in forest
         assert matrix & forest <= SHARED, sorted(matrix & forest - SHARED)
+
+
+def test_solve_and_the_forest_formulas_share_only_the_circuit():
+    rng = random.Random(3)
+    for _ in range(30):
+        net = random_network(rng, require_nonroots=True)
+        deltas = dict(random_circuit(rng, net).deltas)
+        solver = reached(lambda copy: solve(make_circuit(copy, deltas)), net)
+        forest = reached(lambda copy: combinatorial_solution(make_circuit(copy, deltas)), net)
+        assert "solver.solve" in solver and "forests._walk" in forest
+        assert solver & forest <= SHARED | CIRCUIT, sorted(solver & forest - SHARED - CIRCUIT)

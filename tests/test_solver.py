@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superport.solver
 from superport import (
     Matrix,
     NoNonRootVertices,
@@ -22,10 +23,18 @@ from superport import (
     response_from_K,
     response_matrices,
     solve,
+    solve_linear_system,
     unify_superports,
 )
 
-from conftest import diagonal_square, five_step_c2l, rational_tuple, side_square, w_network
+from conftest import (
+    defining_solve,
+    diagonal_square,
+    five_step_c2l,
+    rational_tuple,
+    side_square,
+    w_network,
+)
 
 
 class TestKirchhoffMatrix:
@@ -275,6 +284,48 @@ def draw_network(rng: random.Random, interior: bool):
         net = random_network(rng, require_nonroots=True)
         if (net.n > net.m) == interior:
             return net
+
+
+class TestSolveAgainstDefiningSystem:
+    """`solve` substitutes the prescribed differences and solves the grounded
+    Kirchhoff matrix of the superport-contracted network; the defining
+    system keeps the differences as equations.  Both give one solution."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9), st.booleans())
+    def test_on_random_networks(self, seed, interior):
+        rng = random.Random(seed)
+        circuit = random_circuit(rng, draw_network(rng, interior))
+        assert solve(circuit) == defining_solve(circuit)
+
+    @pytest.mark.parametrize(
+        "edges, superports",
+        [
+            # the root 2 has no edge leaving its superport, so the defining
+            # system's row for that superport has a zero diagonal
+            ([(1, 2, 1), (1, 3, 2), (3, 4, 3)], [[1, 2], [4]]),
+            # one superport and no interior vertex: nothing is left to solve for
+            ([(1, 2, 1), (2, 3, 2), (1, 3, 3)], [[1, 2, 3]]),
+        ],
+    )
+    def test_zero_diagonal_root_row_and_empty_system(self, edges, superports):
+        net = canonical_network(edges, superports)
+        circuit = make_circuit(net, {k: Fraction(k, 2) for k in net.non_roots})
+        assert solve(circuit) == defining_solve(circuit)
+
+    def test_one_unknown_per_interior_vertex_and_root_but_m(self, monkeypatch):
+        sizes = []
+
+        def recording(rows, rhs):
+            sizes.append(len(rows))
+            return solve_linear_system(rows, rhs)
+
+        monkeypatch.setattr(superport.solver, "solve_linear_system", recording)
+        rng = random.Random(2)
+        for _ in range(20):
+            net = random_network(rng, max_n=12, max_edges=24)
+            solve(random_circuit(rng, net))
+            assert sizes[-1] == (net.n - net.m) + (net.p - 1)
 
 
 def reduce_or_singular(reduce, C, superports):

@@ -240,6 +240,24 @@ MUTANTS = {
         "    if L.det() == 0:\n",
         "    if False:\n",
     ),
+    # solve in superport coordinates.  Dropping the skip of an edge inside one
+    # superport is an equivalent mutant: its four matrix terms and its two
+    # right-hand-side terms cancel in that superport's row, so it is left out
+    "solve-rhs-sign-flipped": (
+        "solver.py",
+        "known = units * (delta.get(u, 0) - delta.get(v, 0))",
+        "known = units * (delta.get(v, 0) - delta.get(u, 0))",
+    ),
+    "solve-rhs-one-sided": (
+        "solver.py",
+        "            rhs[b] += known\n",
+        "",
+    ),
+    "solve-reads-back-roots-only": (
+        "solver.py",
+        "level[root_of.get(v, v)] + delta.get(v, 0) for v",
+        "level[root_of.get(v, v)] for v",
+    ),
     # a forest-side sum read from the matrix route: its values are right, so
     # the campaign passes, and tests/test_routes.py sees the routes cross
     "valid-weight-from-det-l": (
