@@ -29,15 +29,17 @@ sign, depends only on the edge count, which fixes the component count, and
 on the boundary pattern, which boundary vertices share a component; the
 weight sums by pattern are the grove partition functions of Kenyon and
 Wilson ("Boundary partitions in trees and dimers", Trans. AMS 2011).  So
-one enumeration serves every identity: `ForestPass` adds each forest's
+one enumeration serves every identity: `ForestPass` sums the forests'
 units into a grove table keyed by (edge count, pattern), and every sum
 reads it the one way, `ForestPass.weight`: the units of the keys with a
 given component count, each times a sign that the `pattern_*` predicates
 decide once per key, not once per forest, from validity, relative
 validity, forest signs, groupings or the signed partitions.  The one
-enumeration loop, `walk_forests`, tracks the key as it joins components,
-so a forest costs neither a key tuple nor a hash, and a `Forest` is built
-only where one is read.  Only statements about single forests (the
+enumeration loop, `walk_forests`, tracks the key as it joins components
+and fills the table itself, so a forest costs neither a key tuple nor a
+hash; it yields, and a `Forest` is built for, only the forests some taker
+reads, and it folds a forest that ends in the last edge into its known
+key without a step of its own.  Only statements about single forests (the
 cancellation involution, the combinatorial voltages and currents) still
 take forests one by one, those whose key admits them; each such forest's
 main cycle is searched for directly, and the involution reads only its
@@ -194,16 +196,19 @@ def walk_forests(
     *,
     cap: Optional[int] = DEFAULT_CAP,
 ) -> Iterator[tuple[list[int], list[int], int, GroveNode]]:
-    """The one enumeration: yield (edges, labels, units, node) for every
-    spanning forest, in `enumerate_spanning_forests` order.
+    """The one enumeration: yield (edges, labels, units, node) for spanning
+    forests, in `enumerate_spanning_forests` order.
 
     `edges` and `labels` are the walk's own lists, valid until the next
     item: the chosen edge indices, ascending, and `labels[v]`, the least
     vertex of v's component (entry 0 is padding), which are the `edges` and
-    `components` of the `Forest`.  `units` is its units.  With `node_for`,
-    which returns the one node of a grove key, `node` is the node of the
-    forest's key; without it, one shared node, not to be written, that
-    stands for every key.  The cap is checked before the first forest.
+    `components` of the `Forest`.  `units` is its units.  Without
+    `node_for` the walk yields every forest, and `node` is one shared node,
+    not to be written, that stands for every key.  With `node_for`, which
+    returns the one node of a grove key, the walk is tracked: it adds each
+    forest's units into the node of its key, and yields only the forests
+    whose node has takers when they are reached, with that node.  The cap
+    is checked before the first forest.
     """
     check_cap(len(net.edges), cap)
     return _walk(net, node_for)
@@ -228,6 +233,13 @@ def _walk(
     0 for a join with b > m, which keeps the pattern, and link a * (m + 1)
     + b for each merge; a link's key is built, and its node asked for, only
     the first time the link is followed.
+
+    A join by the last edge makes a forest with no child.  When its link is
+    already known and its node has no takers, a tracked walk folds it: it
+    adds units times the last edge's units into that node, with no relabel,
+    push, yield or pop.  A link seen for the first time is always followed,
+    so `node_for` sees the merged labels and is asked for the keys in the
+    order of their first forests.
     """
     n, E = net.n, len(net.edges)
     scale = conductance_scale(net)
@@ -240,20 +252,36 @@ def _walk(
     # (kept label, merged label, units before, node before)
     undo: list[tuple[int, int, int, GroveNode]] = []
     units = 1
+    tracked = node_for is not None
     # with no key to track, m = 0 sends every join along link 0 of one node
-    m = net.m if node_for is not None else 0
+    m = net.m if tracked else 0
     m1 = m + 1
-    node = node_for((0, tuple(range(1, m1)))) if node_for is not None else _UNTRACKED
+    node = node_for((0, tuple(range(1, m1)))) if tracked else _UNTRACKED
+    # a tracked walk folds joins by the last edge, an untracked one none
+    last = E - 1 if tracked else -1
     i = 0
     while True:
-        yield chosen, label, units, node
+        if tracked:
+            node.units += units
+            if node.takers:
+                yield chosen, label, units, node
+        else:
+            yield chosen, label, units, node
         # the next subset in lexicographic order: add the first edge from i
-        # on that joins two components, or drop the last edge and go on after it
+        # on that joins two components, or drop the last chosen edge and go on after it
         while True:
             if i < E:
                 a, b = label[tails[i]], label[heads[i]]
                 if a != b:
-                    break
+                    if b < a:
+                        a, b = b, a
+                    link = a * m1 + b if b <= m else 0
+                    if i != last:
+                        break
+                    child = node.links.get(link)
+                    if child is None or child.takers:
+                        break
+                    child.units += units * unit[i]
                 i += 1
             elif chosen:
                 i = chosen.pop()
@@ -265,8 +293,6 @@ def _walk(
                 i += 1
             else:
                 return
-        if b < a:
-            a, b = b, a
         moved = members[b]
         for v in moved:
             label[v] = a
@@ -275,7 +301,6 @@ def _walk(
         undo.append((a, b, units, node))
         units *= unit[i]
         i += 1
-        link = a * m1 + b if b <= m else 0
         links = node.links
         try:
             node = links[link]
@@ -834,13 +859,14 @@ class ForestPass:
     by its facts.  A statement about single forests registers a taker with
     `want`, with a test of facts that is decided on each key's first
     forest; the forests whose key passes reach the taker with the key's
-    facts.  The walk tracks each forest's key (see `walk_forests`), and a
-    `Forest` is built only for the forests that some taker receives.  A
-    taker that raises takes no more forests: `errors` keeps the forest, if
-    there is one, and the exception, and the pass goes on.  The pass holds
-    no reference to itself, nor do the verifiers' takers, so it is freed,
-    table and all, when its last reader lets go, without waiting for the
-    garbage collector.
+    facts.  The walk tracks each forest's key and fills the table itself
+    (see `walk_forests`); it yields only the forests that some taker
+    receives, and `run` builds a `Forest` for each of those and hands it
+    on.  A taker that raises takes no more forests: `errors` keeps the
+    forest, if there is one, and the exception, and the pass goes on.  The
+    pass holds no reference to itself, nor do the verifiers' takers, so it
+    is freed, table and all, when its last reader lets go, without waiting
+    for the garbage collector.
     """
 
     def __init__(self, net: SuperportNetwork):
@@ -893,14 +919,12 @@ class ForestPass:
         scale = self.scale
         make = tuple.__new__  # builds a Forest without the keyword handling of Forest(...)
         for chosen, label, units, node in walk:
-            node.units += units
-            if node.takers:
-                forest = make(Forest, (tuple(chosen), tuple(label), units, scale))
-                for take in node.takers:
-                    try:
-                        take(forest, node.facts)
-                    except Exception as exc:
-                        self._drop(take, forest, exc, grove)
+            forest = make(Forest, (tuple(chosen), tuple(label), units, scale))
+            for take in node.takers:
+                try:
+                    take(forest, node.facts)
+                except Exception as exc:
+                    self._drop(take, forest, exc, grove)
         self.units = {key: node.units for key, node in grove.items()}
 
     def _drop(self, take: Taker, forest: Optional[Forest], exc: Exception, grove: dict) -> None:

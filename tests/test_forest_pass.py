@@ -45,6 +45,7 @@ from superport import (
 from superport.forests import (
     Forest,
     ForestPass,
+    GroveNode,
     MainCycle,
     enumerate_spanning_forests,
     forest_sign,
@@ -157,15 +158,41 @@ def count_walks(monkeypatch):
     return calls, produced, built
 
 
+def table_of(net, forests):
+    """The grove table summed forest by forest, keys in first-seen order."""
+    table = {}
+    for f in forests:
+        key = key_of(net, f)
+        table[key] = table.get(key, 0) + f.units
+    return table
+
+
 def test_run_verifications_enumerates_once(monkeypatch):
     net = w_network(2, 3, 5, 7)
-    every = sum(1 for _ in enumerate_spanning_forests(net))
+    every = list(enumerate_spanning_forests(net))
+    passes = []
+    run = ForestPass.run
+
+    def recording_run(self, *args, **kwargs):
+        passes.append(self)
+        run(self, *args, **kwargs)
+
+    monkeypatch.setattr(ForestPass, "run", recording_run)
     calls, produced, built = count_walks(monkeypatch)
     reports = run_verifications(net, ["all"], rng=random.Random(0))
     assert reports and all(r.ok for r in reports)
     assert len(calls) == 1
-    assert len(produced) == every
     assert built == []
+    # the walk yields, in order, exactly the forests whose key admits some
+    # taker; it adds every forest's units into the table, yielded or not
+    (p,) = passes
+    taken = [
+        f.edges for f in every
+        if any(keep(p.facts(key_of(net, f))) for keep, _ in p.takers)
+    ]
+    assert 0 < len(taken) < len(every)
+    assert produced == taken
+    assert list(p.units.items()) == list(table_of(net, every).items())
 
 
 def test_over_cap_network_is_refused_before_any_forest(monkeypatch):
@@ -394,21 +421,22 @@ def test_pattern_facts_are_decided_once_per_key(monkeypatch):
 # -- the walk tracks the key: against the table built from Forests -------------
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=4))
-def test_tracked_key_equals_the_table_of_forests(seed, p_max):
-    # the edges come in another order, so the walk reaches the keys, and
-    # follows their links, in another order
+def shuffled_network(seed, p_max):
+    """A random network whose edges come in another order, so the walk
+    reaches the keys, and follows their links, in another order."""
     rng = random.Random(seed)
     net = random_network(rng, max_n=7, max_edges=12, p_max=p_max)
     edges = list(net.edges)
     rng.shuffle(edges)
-    net = canonical_network(edges, net.superports)
+    return canonical_network(edges, net.superports)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=4))
+def test_tracked_key_equals_the_table_of_forests(seed, p_max):
+    net = shuffled_network(seed, p_max)
     forests = list(enumerate_spanning_forests(net))
-    table = {}
-    for f in forests:
-        key = (len(f.edges), f.components[1 : net.m + 1])
-        table[key] = table.get(key, 0) + f.units
+    table = table_of(net, forests)
     p = ForestPass(net)
     every, valid = [], []
     p.want(lambda facts: True, lambda f, facts: every.append(f))
@@ -418,6 +446,31 @@ def test_tracked_key_equals_the_table_of_forests(seed, p_max):
     assert every == forests
     assert all(type(f) is Forest for f in every)
     assert valid == [(f, p.facts(key_of(net, f))) for f in forests if is_valid(f, net)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=4))
+def test_a_tracked_walk_folds_the_forests_no_taker_reads(seed, p_max):
+    # a forest whose next join is the last edge folds its child into a known
+    # node that no taker reads, without yielding it; the table must not see
+    # the difference
+    net = shuffled_network(seed, p_max)
+    forests = list(enumerate_spanning_forests(net))
+    table = list(table_of(net, forests).items())
+    alone = ForestPass(net)
+    alone.want()
+    alone.run()
+    assert list(alone.units.items()) == table
+    p = ForestPass(net)
+    valid = []
+    p.want(lambda facts: facts.valid, lambda f, facts: valid.append(f))
+    p.run()
+    assert list(p.units.items()) == table
+    assert valid == [f for f in forests if is_valid(f, net)]
+    # with no taker on any node, a tracked walk yields nothing
+    grove = {}
+    assert list(walk_forests(net, lambda key: grove.setdefault(key, GroveNode()))) == []
+    assert [(key, node.units) for key, node in grove.items()] == table
 
 
 # -- the cancellation: one involution check per (key, main-cycle ends) ---------

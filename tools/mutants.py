@@ -19,7 +19,7 @@ the tests that fail: their number and the first few ids.
 
 The script stops with an error, before running anything, when a mutant's
 text is not found exactly once in its file.  The working tree is never
-modified.
+modified, and a run stopped by SIGTERM removes its temporary copy.
 
 Usage:
     python3 tools/mutants.py [--only NAME ...] [--tier1 {survivors,all}] [--list]
@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -151,6 +152,17 @@ MUTANTS = {
         "forests.py",
         "a, b, units, node = undo.pop()",
         "a, b, units, _ = undo.pop()",
+    ),
+    # the tracked walk folds a last-edge child into its known node
+    "walk-fold-ignores-takers": (
+        "forests.py",
+        "if child is None or child.takers:",
+        "if child is None:",
+    ),
+    "walk-fold-drops-last-unit": (
+        "forests.py",
+        "child.units += units * unit[i]",
+        "child.units += units",
     ),
     # the pattern predicates
     "validity-without-edge-count": (
@@ -345,6 +357,12 @@ def run_tier1(copy: Path) -> str:
     return f"fail {len(killers)}: {shown}" + (f" (+{more} more)" if more > 0 else "")
 
 
+def stop(signum, frame) -> None:
+    """Turn SIGTERM into SystemExit, so that the temporary copy in use is
+    cleaned up; `subprocess.run` kills its child on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", nargs="+", choices=sorted(MUTANTS), metavar="NAME")
@@ -356,6 +374,7 @@ def main(argv=None) -> int:
         print("\n".join(names))
         return 0
     check_texts(names)
+    signal.signal(signal.SIGTERM, stop)
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = mutated_copy(None, Path(tmp))
         outcome, failed = run_campaign(copy)
