@@ -30,11 +30,14 @@ on the boundary pattern, which boundary vertices share a component; the
 weight sums by pattern are the grove partition functions of Kenyon and
 Wilson ("Boundary partitions in trees and dimers", Trans. AMS 2011).  So
 one enumeration serves every identity: `ForestPass` sums the forests'
-units into a grove table keyed by (edge count, pattern), and every sum
-reads it the one way, `ForestPass.weight`: the units of the keys with a
-given component count, each times a sign that the `pattern_*` predicates
-decide once per key, not once per forest, from validity, relative
-validity, forest signs, groupings or the signed partitions.  The one
+units into a grove table keyed by (edge count, pattern).  The general sum
+over it is `ForestPass.weight`: the units of the keys with a given
+component count, each times a sign that the `pattern_*` predicates decide
+once per key, not once per forest, from validity, relative validity,
+forest signs, groupings or the signed partitions.  The two sums that
+`verify` needs for every pair of boundary vertices, Kirchhoff's part 2 and
+the entries of L, are one scan of the table each, tested against this
+general form that they would otherwise call once per pair.  The one
 enumeration loop, `walk_forests`, tracks the key as it joins components
 and fills the table itself, so a forest costs neither a key tuple nor a
 hash; it yields, and a `Forest` is built for, only the forests some taker
@@ -855,7 +858,7 @@ class ForestPass:
     count, boundary pattern).  Validity, relative validity, forest signs,
     the signed partitions and every Kenyon-Wilson grouping depend on the
     key alone, so `facts` decides each fact once per key, not once per
-    forest, and every sum reads the table through `weight`, each key signed
+    forest, and `weight` is the general sum over the table, each key signed
     by its facts.  A statement about single forests registers a taker with
     `want`, with a test of facts that is decided on each key's first
     forest; the forests whose key passes reach the taker with the key's
@@ -936,9 +939,11 @@ class ForestPass:
             node.takers = tuple(t for t in node.takers if t is not take)
 
     def weight(self, count: int, sign: Callable[[Key], int] = lambda key: 1) -> Fraction:
-        """The one sum over the grove table: the weight of the forests with
-        `count` components, each key's units times `sign(key)`, divided by
-        the scale once."""
+        """The general sum over the grove table: the weight of the forests
+        with `count` components, each key's units times `sign(key)`, divided
+        by the scale once.  A sum needed for every pair of boundary vertices
+        scans the table once for all pairs instead (`verify._pair_sums`,
+        `verify._entry_sums`), and is tested against this one."""
         edges = self.net.n - count
         units = sum(sign(key) * units for key, units in self.units.items() if key[0] == edges)
         return Fraction(units, self.scale ** edges)

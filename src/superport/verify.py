@@ -7,18 +7,23 @@ comparisons are exact rational equality.  A report counts its comparisons
 and names the first that failed: its two sides, and a witness that holds
 the network and where the comparison was made, such as an entry or a forest.
 
-The forest side of every identity is one signed sum over the grove table of
+The forest side of every identity is a signed sum over the grove table of
 one `ForestPass`, which adds the forests' integer units by (edge count,
 boundary pattern): `weight(count, sign)` adds the units of the keys with
 `count` components, each times `sign(key)`, and divides by the scale once.
 Trees (1 component) take sign 1; valid forests (m - p + 1) their validity;
-the entries of L the forest sign on forests valid relative to both
-non-roots (m - p); the signed sum each key's signed partitions.  Kirchhoff's
-two parts are the Kenyon-Wilson all-minors formula with |X| = 0 (Z = 1..m-1,
-whose one group is {m}: the trees) and |X| = 1 (C_i^j, whose groups pair i
-with j: m - 1 components), so one helper makes each minor's forest side,
-each key signed by the permutation its pattern pairs, over the electrically
-valid forests (m, one boundary vertex each).  Validity, signs, groupings
+the signed sum each key's signed partitions.  Kirchhoff's two parts are the
+Kenyon-Wilson all-minors formula with |X| = 0 (Z = 1..m-1, whose one group
+is {m}: the trees) and |X| = 1 (C_i^j, whose groups pair i with j: m - 1
+components), over the electrically valid forests (m, one boundary vertex
+each).  `_all_minors` makes a minor's forest side, each key signed by the
+permutation its pattern pairs: part 1 and the Kenyon-Wilson minors.  Part 2
+and the entries of L, the forest sign on forests valid relative to both
+non-roots (m - p), need a sum per pair, so each is one scan of the table:
+`_pair_sums` adds each key with m - 1 classes to the one pair it groups,
+`_entry_sums` each key to every pair of non-roots it is valid relative to.
+The tests hold both, pair by pair, to `_all_minors` and `weight`, the
+general form, which they stand in for.  Validity, signs, groupings
 and signed partitions are decided once per key.  The statements about
 single forests, the cancellation involution and the combinatorial voltages
 and currents, register takers on the pass instead, which receive each
@@ -282,6 +287,26 @@ def _all_minors(
     return factor * p.weight(k + len(W), sign) / electrical
 
 
+def _pair_sums(p: ForestPass) -> dict[tuple[int, int], Fraction]:
+    """By each pair i < j that some forest groups, in one scan of the table:
+    the weight of the forests whose groups pair i with j and isolate the
+    rest of the boundary.  Such a forest has m - 1 components and its
+    pattern m - 1 classes, so exactly one boundary vertex j is not the
+    least of its component, and i = pattern[j - 1].  The forest side of
+    C_i^j is -1 times it over H, which `_all_minors(p, (i,), (j,), (), H)`
+    makes pair by pair."""
+    m = p.net.m
+    edges = p.net.n - (m - 1)
+    units: dict[tuple[int, int], int] = {}
+    for (count, pattern), u in p.units.items():
+        if count == edges and len(set(pattern)) == m - 1:
+            j = next(v for v, least in enumerate(pattern, 1) if least != v)
+            pair = (pattern[j - 1], j)
+            units[pair] = units.get(pair, 0) + u
+    scale = p.scale ** edges
+    return {pair: Fraction(u, scale) for pair, u in units.items()}
+
+
 @_guarded("kirchhoff")
 def _kirchhoff(p: ForestPass) -> Finish:
     net, m = p.net, p.net.m
@@ -298,10 +323,12 @@ def _kirchhoff(p: ForestPass) -> Finish:
         det_reduced = R.reduced_det
         ratio = _all_minors(p, (), (), tuple(range(1, m)), H)
         checks.compare(det_reduced, ratio, part=1)
+        # part 2 is the 1x1 minors C_i^j, -1 times the forests pairing i
+        # with j over H; C_j^i has the same forest side
+        pairs = _pair_sums(p)
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
-                # part 2 is the 1x1 minor C_i^j; C_j^i has the same forest side
-                entry, rhs = C.entry(i, j), _all_minors(p, (i,), (j,), (), H)
+                entry, rhs = C.entry(i, j), -pairs.get((i, j), 0) / H
                 for lhs in (entry, C.entry(j, i)):
                     checks.compare(lhs, rhs, part=2, entry=[i, j])
         return checks.report(rat_str(det_reduced), rat_str(ratio))
@@ -383,32 +410,42 @@ def _valid(p: ForestPass) -> Fraction:
     return p.weight(net.m - net.p + 1, lambda key: p.facts(key).valid)
 
 
+def _entry_sums(p: ForestPass) -> dict[tuple[int, int], Fraction]:
+    """By each pair of non-roots (i, j), in one scan of the table: the
+    weight of the forests valid relative to both, each signed by
+    forest_sign(i, j), which is L_i^j times the valid weight.  Splitting a
+    non-root off its superport adds one quotient class, so those forests
+    all have m - p components.  `p.weight(m - p, sign)`, signed by
+    forest_sign(i, j) on the keys valid relative to i and j and 0 on the
+    rest, makes the same weight pair by pair."""
+    net = p.net
+    edges = net.n - (net.m - net.p)
+    units = dict.fromkeys(itertools.product(net.non_roots, repeat=2), 0)
+    for key, u in p.units.items():
+        if key[0] == edges:
+            relative = p.facts(key).relative
+            for i in relative:
+                for j in relative:
+                    units[i, j] += pattern_sign(net, key[1], i, j) * u
+    scale = p.scale ** edges
+    return {pair: Fraction(u, scale) for pair, u in units.items()}
+
+
 @_guarded("response-entries")
 def _entries(p: ForestPass) -> Finish:
     net = p.net
     _need_non_roots(net)
     p.want()
     nr = net.non_roots
-    # splitting a non-root off its superport adds one quotient class, so the
-    # forests valid relative to any non-root all have m - p components
-    count = net.m - net.p
-
-    def signed(i: int, j: int) -> Callable[[Key], int]:
-        """forest_sign(i, j) on the keys valid relative to i and j, else 0."""
-
-        def sign(key: Key) -> int:
-            relative = p.facts(key).relative
-            return pattern_sign(net, key[1], i, j) if i in relative and j in relative else 0
-
-        return sign
 
     def report(matrices: Matrices) -> Report:
         L = matrices().superport_response
         D = _valid(p)
+        sums = _entry_sums(p)
         checks = _Checks("response-entries", net)
         for i in nr:
             for j in nr:
-                checks.compare(L.entry(i, j), p.weight(count, signed(i, j)) / D, entry=[i, j])
+                checks.compare(L.entry(i, j), sums[i, j] / D, entry=[i, j])
         return checks.report(f"{checks.count} entries", f"{checks.count} sums")
 
     return report

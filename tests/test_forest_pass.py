@@ -33,6 +33,7 @@ from superport import (
     run_verifications,
     solve,
     unit_circuit,
+    verify,
     verify_cancellation,
     verify_det_L,
     verify_gluing,
@@ -372,6 +373,59 @@ def test_the_one_sum_matches_the_forest_route(seed, interior):
         ),
         Fraction(0),
     )
+
+
+def two_boundary_vertices(net, rng):
+    """The same graph with two boundary vertices, in one superport or two."""
+    boundary = rng.sample(range(1, net.n + 1), 2)
+    superports = [boundary] if rng.random() < 0.5 else [[v] for v in boundary]
+    return canonical_network(net.edges, superports)
+
+
+def all_roots(net, rng):
+    """The same graph with a boundary of roots only: one superport each."""
+    boundary = rng.sample(range(1, net.n + 1), rng.randint(1, net.n))
+    return canonical_network(net.edges, [[v] for v in boundary])
+
+
+# how the one-scan sums draw a boundary for a random graph
+BOUNDARIES = {
+    "m=2": two_boundary_vertices,
+    "all-root": all_roots,
+    "interior": lambda net, rng: redrawn_boundary(net, rng, True),
+    "no-interior": lambda net, rng: redrawn_boundary(net, rng, False),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from(sorted(BOUNDARIES)))
+def test_the_one_scan_sums_equal_the_general_sums(seed, boundary):
+    # Kirchhoff's part 2 and the entries of L, each summed in one scan,
+    # against the all-minors formula and the signed sum pair by pair
+    rng = random.Random(seed)
+    net = BOUNDARIES[boundary](random_network(rng, max_n=6, max_edges=9), rng)
+    m, nr = net.m, net.non_roots
+    p = ForestPass(net)
+    p.want()
+    p.run()
+    H = verify._electrical(p)
+    pairs = verify._pair_sums(p)
+    every = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    assert set(pairs) <= set(every)
+    assert m < 2 or any(pairs.values())
+    for i, j in every:
+        assert -pairs.get((i, j), 0) / H == verify._all_minors(p, (i,), (j,), (), H)
+    sums = verify._entry_sums(p)
+    assert set(sums) == set(itertools.product(nr, repeat=2))
+    assert all(sums[i, i] > 0 for i in nr)
+    for i in nr:
+        for j in nr:
+
+            def sign(key, i=i, j=j):
+                relative = p.facts(key).relative
+                return pattern_sign(net, key[1], i, j) if i in relative and j in relative else 0
+
+            assert sums[i, j] == p.weight(m - net.p, sign)
 
 
 def shared_key_network():

@@ -34,7 +34,7 @@ from superport import (
     solve,
     verify,
 )
-from superport.forests import ForestPass, pattern_sign
+from superport.forests import ForestPass
 
 # the hook names functions by `co_qualname`, which code objects carry from 3.11
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
@@ -98,21 +98,16 @@ def forest_route(net: SuperportNetwork) -> None:
     for name in THEOREMS:
         verify._PLANS[name](p, rng)
     p.run()
-    m, nr = net.m, net.non_roots
+    m = net.m
     H = verify._electrical(p)
+    # kirchhoff's part 1 and kw's minors take the general formula, part 2
+    # and the entries one scan each
     verify._all_minors(p, (), (), tuple(range(1, m)), H)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            verify._all_minors(p, (i,), (j,), (), H)
+    if m >= 2:
+        verify._all_minors(p, (1,), (2,), (), H)
+    verify._pair_sums(p)
     verify._valid(p)
-    for i in nr:
-        for j in nr:
-
-            def sign(key, i=i, j=j):
-                relative = p.facts(key).relative
-                return pattern_sign(net, key[1], i, j) if i in relative and j in relative else 0
-
-            p.weight(m - net.p, sign)
+    verify._entry_sums(p)
     p.weight(m - net.p + 1, lambda key: sum(sign for _, sign in p.facts(key).partitions))
 
 

@@ -205,6 +205,22 @@ MUTANTS = {
         "for lhs in (entry, C.entry(j, i)):",
         "for lhs in (entry, C.entry(i, j)):",
     ),
+    # Kirchhoff's part 2 and the entries of L, each summed in one scan
+    "kirchhoff-pair-drops-class-count": (
+        "verify.py",
+        "if count == edges and len(set(pattern)) == m - 1:",
+        "if count == edges:",
+    ),
+    "kirchhoff-pair-reversed": (
+        "verify.py",
+        "pair = (pattern[j - 1], j)",
+        "pair = (j, pattern[j - 1])",
+    ),
+    "entries-sum-ignores-relative": (
+        "verify.py",
+        "                for j in relative:\n",
+        "                for j in net.non_roots:\n",
+    ),
     # the matrix side
     "eliminate-swap-keeps-sign": (
         "linalg.py",
