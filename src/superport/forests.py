@@ -34,10 +34,11 @@ units into a grove table keyed by (edge count, pattern).  The general sum
 over it is `ForestPass.weight`: the units of the keys with a given
 component count, each times a sign that the `pattern_*` predicates decide
 once per key, not once per forest, from validity, relative validity,
-forest signs, groupings or the signed partitions.  The two sums that
-`verify` needs for every pair of boundary vertices, Kirchhoff's part 2 and
-the entries of L, are one scan of the table each, tested against this
-general form that they would otherwise call once per pair.  The one
+forest signs, groupings or the signed partitions.  A family of one
+pattern with one component per class (the trees, the electrically valid
+forests, a pair of Kirchhoff's part 2) is a single key, which `verify`
+looks up; the entries of L, needed for every pair of non-roots, are one
+scan of the table, tested against this general form.  The one
 enumeration loop, `walk_forests`, tracks the key as it joins components
 and fills the table itself, so a forest costs neither a key tuple nor a
 hash; it yields, and a `Forest` is built for, only the forests some taker
@@ -866,10 +867,10 @@ class ForestPass:
     (see `walk_forests`); it yields only the forests that some taker
     receives, and `run` builds a `Forest` for each of those and hands it
     on.  A taker that raises takes no more forests: `errors` keeps the
-    forest, if there is one, and the exception, and the pass goes on.  The
-    pass holds no reference to itself, nor do the verifiers' takers, so it
-    is freed, table and all, when its last reader lets go, without waiting
-    for the garbage collector.
+    forest, if there is one, and the exception, and the pass skips that
+    taker from then on.  The pass holds no reference to itself, nor do the
+    verifiers' takers, so it is freed, table and all, when its last reader
+    lets go, without waiting for the garbage collector.
     """
 
     def __init__(self, net: SuperportNetwork):
@@ -904,16 +905,19 @@ class ForestPass:
         if not self.wanted:
             return
         grove: dict[Key, GroveNode] = {}
+        errors = self.errors
 
         def node_for(key: Key) -> GroveNode:
             node = grove.get(key)
             if node is None:
                 try:
                     facts = self.facts(key) if self.takers else None
-                    admitted = tuple(take for keep, take in self.takers if keep(facts))
+                    admitted = tuple(
+                        take for keep, take in self.takers if take not in errors and keep(facts)
+                    )
                 except Exception as exc:
-                    for _, take in tuple(self.takers):
-                        self._drop(take, None, exc, grove)
+                    for _, take in self.takers:
+                        errors.setdefault(take, (None, exc))
                     facts, admitted = None, ()
                 node = grove[key] = GroveNode(admitted, facts)
             return node
@@ -924,26 +928,21 @@ class ForestPass:
         for chosen, label, units, node in walk:
             forest = make(Forest, (tuple(chosen), tuple(label), units, scale))
             for take in node.takers:
+                if take in errors:
+                    continue
                 try:
                     take(forest, node.facts)
                 except Exception as exc:
-                    self._drop(take, forest, exc, grove)
+                    errors[take] = (forest, exc)
         self.units = {key: node.units for key, node in grove.items()}
-
-    def _drop(self, take: Taker, forest: Optional[Forest], exc: Exception, grove: dict) -> None:
-        """Keep a taker's error, traceback and all, and hand that taker no
-        more forests."""
-        self.errors[take] = (forest, exc)
-        self.takers = [(keep, t) for keep, t in self.takers if t is not take]
-        for node in grove.values():
-            node.takers = tuple(t for t in node.takers if t is not take)
 
     def weight(self, count: int, sign: Callable[[Key], int] = lambda key: 1) -> Fraction:
         """The general sum over the grove table: the weight of the forests
         with `count` components, each key's units times `sign(key)`, divided
-        by the scale once.  A sum needed for every pair of boundary vertices
-        scans the table once for all pairs instead (`verify._pair_sums`,
-        `verify._entry_sums`), and is tested against this one."""
+        by the scale once.  A family of one pattern is a single key instead
+        (`verify._grove`), and the entries of L, a sum needed for every pair
+        of non-roots, scan the table once for all pairs
+        (`verify._entry_sums`); both are tested against this one."""
         edges = self.net.n - count
         units = sum(sign(key) * units for key, units in self.units.items() if key[0] == edges)
         return Fraction(units, self.scale ** edges)

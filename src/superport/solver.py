@@ -66,15 +66,21 @@ class NoNonRootVertices(SolverError):
     """Every boundary vertex is a root, so the superport response is empty."""
 
 
+def _edge_units(net: SuperportNetwork) -> tuple[int, list[int]]:
+    """The least common denominator D of the conductances, and each edge's
+    conductance as a whole number of units 1/D."""
+    scale = lcm(*(c.denominator for _, _, c in net.edges))
+    return scale, [c.numerator * (scale // c.denominator) for _, _, c in net.edges]
+
+
 def kirchhoff_matrix(net: SuperportNetwork) -> Matrix:
     """Weighted Laplacian, labeled by the vertices 1..n.  Each entry is
     summed in integer units of 1/D, D the least common denominator of the
     conductances, and becomes a Fraction once."""
     n = net.n
-    scale = lcm(*(c.denominator for _, _, c in net.edges))
+    scale, edge_units = _edge_units(net)
     grid = [[0] * n for _ in range(n)]
-    for u, v, c in net.edges:
-        units = c.numerator * (scale // c.denominator)
+    for (u, v, _), units in zip(net.edges, edge_units):
         grid[u - 1][v - 1] -= units
         grid[v - 1][u - 1] -= units
         grid[u - 1][u - 1] += units
@@ -222,16 +228,15 @@ def solve(circuit: Circuit) -> Solution:
     """
     net = circuit.network
     n, m = net.n, net.m
-    scale = lcm(*(c.denominator for _, _, c in net.edges))
+    _, edge_units = _edge_units(net)
     root_of = net.root_of
     delta = {k: d for k, d in circuit.deltas if d}
     grid = [[0] * (n + 1) for _ in range(n + 1)]
     rhs = [0] * (n + 1)
-    for u, v, c in net.edges:
+    for (u, v, _), units in zip(net.edges, edge_units):
         a, b = root_of.get(u, u), root_of.get(v, v)
         if a == b:
             continue
-        units = c.numerator * (scale // c.denominator)
         grid[a][a] += units
         grid[b][b] += units
         grid[a][b] -= units

@@ -7,28 +7,30 @@ comparisons are exact rational equality.  A report counts its comparisons
 and names the first that failed: its two sides, and a witness that holds
 the network and where the comparison was made, such as an entry or a forest.
 
-The forest side of every identity is a signed sum over the grove table of
-one `ForestPass`, which adds the forests' integer units by (edge count,
-boundary pattern): `weight(count, sign)` adds the units of the keys with
-`count` components, each times `sign(key)`, and divides by the scale once.
-Trees (1 component) take sign 1; valid forests (m - p + 1) their validity;
-the signed sum each key's signed partitions.  Kirchhoff's two parts are the
-Kenyon-Wilson all-minors formula with |X| = 0 (Z = 1..m-1, whose one group
-is {m}: the trees) and |X| = 1 (C_i^j, whose groups pair i with j: m - 1
-components), over the electrically valid forests (m, one boundary vertex
-each).  `_all_minors` makes a minor's forest side, each key signed by the
-permutation its pattern pairs: part 1 and the Kenyon-Wilson minors.  Part 2
-and the entries of L, the forest sign on forests valid relative to both
-non-roots (m - p), need a sum per pair, so each is one scan of the table:
-`_pair_sums` adds each key with m - 1 classes to the one pair it groups,
-`_entry_sums` each key to every pair of non-roots it is valid relative to.
-The tests hold both, pair by pair, to `_all_minors` and `weight`, the
-general form, which they stand in for.  Validity, signs, groupings
-and signed partitions are decided once per key.  The statements about
-single forests, the cancellation involution and the combinatorial voltages
-and currents, register takers on the pass instead, which receive each
-forest whose key admits it; the cancellation checks its involution once per
-key and main-cycle ends.  `run_verifications` registers what every
+The forest side of every identity is read from the grove table of one
+`ForestPass`, which adds the forests' integer units by (edge count,
+boundary pattern).  The forests of one pattern with one component per class
+make a grove partition function, one key of the table, which `_grove` looks
+up.  Kirchhoff's two parts read only such keys: they are the Kenyon-Wilson
+all-minors formula with |X| = 0 (Z = 1..m-1, whose one group is {m}: the
+trees, pattern 1, ..., 1) and |X| = 1 (C_i^j, whose groups pair i with j
+and isolate the rest), each over the electrical weight H (one boundary
+vertex per component, pattern 1, 2, ..., m).  A family that spans many
+patterns is a signed sum, `weight(count, sign)`, which adds the units of
+the keys with `count` components, each times `sign(key)`, and divides by
+the scale once: the valid forests (m - p + 1) signed by their validity, the
+signed sum by each key's signed partitions, and `_all_minors`, a
+Kenyon-Wilson minor's forest side, by the permutation each key's pattern
+pairs.  Only the entries of L, the forest sign on forests valid relative to
+both non-roots (m - p), need a sum per pair: `_entry_sums` makes them in
+one scan of the table, adding each key to every pair of non-roots it is
+valid relative to.  The tests hold the lookups to `_all_minors` and the
+scan to `weight`, the general form, pair by pair.  Validity, signs,
+groupings and signed partitions are decided once per key.  The statements
+about single forests, the cancellation involution and the combinatorial
+voltages and currents, register takers on the pass instead, which receive
+each forest whose key admits it; the cancellation checks its involution
+once per key and main-cycle ends.  `run_verifications` registers what every
 requested theorem needs, enumerates once if any of them reads forests, and
 then lets each theorem sum and compare; K, C and L are built once, by the
 first report that reads them.  A standalone verifier runs the same sums on
@@ -253,10 +255,17 @@ def _alone(net: SuperportNetwork, build, *args) -> Report:
 # -- Kirchhoff and Kenyon-Wilson (electrical identities) ---------------------------
 
 
+def _grove(p: ForestPass, pattern: tuple) -> Fraction:
+    """The grove partition function of one boundary pattern: the weight of
+    the forests with that pattern whose every component holds a boundary
+    vertex, so with one component per class: one key of the table."""
+    edges = p.net.n - len(set(pattern))
+    return Fraction(p.units.get((edges, pattern), 0), p.scale ** edges)
+
+
 def _electrical(p: ForestPass) -> Fraction:
     """The weight of the forests with one boundary vertex in each of m components."""
-    m = p.net.m
-    return p.weight(m, lambda key: len(set(key[1])) == m)
+    return _grove(p, tuple(range(1, p.net.m + 1)))
 
 
 def _all_minors(
@@ -287,26 +296,6 @@ def _all_minors(
     return factor * p.weight(k + len(W), sign) / electrical
 
 
-def _pair_sums(p: ForestPass) -> dict[tuple[int, int], Fraction]:
-    """By each pair i < j that some forest groups, in one scan of the table:
-    the weight of the forests whose groups pair i with j and isolate the
-    rest of the boundary.  Such a forest has m - 1 components and its
-    pattern m - 1 classes, so exactly one boundary vertex j is not the
-    least of its component, and i = pattern[j - 1].  The forest side of
-    C_i^j is -1 times it over H, which `_all_minors(p, (i,), (j,), (), H)`
-    makes pair by pair."""
-    m = p.net.m
-    edges = p.net.n - (m - 1)
-    units: dict[tuple[int, int], int] = {}
-    for (count, pattern), u in p.units.items():
-        if count == edges and len(set(pattern)) == m - 1:
-            j = next(v for v, least in enumerate(pattern, 1) if least != v)
-            pair = (pattern[j - 1], j)
-            units[pair] = units.get(pair, 0) + u
-    scale = p.scale ** edges
-    return {pair: Fraction(u, scale) for pair, u in units.items()}
-
-
 @_guarded("kirchhoff")
 def _kirchhoff(p: ForestPass) -> Finish:
     net, m = p.net, p.net.m
@@ -319,16 +308,16 @@ def _kirchhoff(p: ForestPass) -> Finish:
         C = R.response
         H = _electrical(p)
         checks = _Checks("kirchhoff", net)
-        # part 1 is the minor with Z = 1..m-1: one group, {m}, so trees
+        # part 1 is the minor with Z = 1..m-1: one group, {m}, so the trees
         det_reduced = R.reduced_det
-        ratio = _all_minors(p, (), (), tuple(range(1, m)), H)
+        ratio = _grove(p, (1,) * m) / H
         checks.compare(det_reduced, ratio, part=1)
         # part 2 is the 1x1 minors C_i^j, -1 times the forests pairing i
-        # with j over H; C_j^i has the same forest side
-        pairs = _pair_sums(p)
+        # with j and isolating the rest over H; C_j^i has the same forest side
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
-                entry, rhs = C.entry(i, j), -pairs.get((i, j), 0) / H
+                paired = tuple(i if v == j else v for v in range(1, m + 1))
+                entry, rhs = C.entry(i, j), -_grove(p, paired) / H
                 for lhs in (entry, C.entry(j, i)):
                     checks.compare(lhs, rhs, part=2, entry=[i, j])
         return checks.report(rat_str(det_reduced), rat_str(ratio))
@@ -466,7 +455,7 @@ def _det_L(p: ForestPass) -> Finish:
 
     def report(matrices: Matrices) -> Report:
         lhs = matrices().superport_response.det()
-        rhs = p.weight(1) / _valid(p)
+        rhs = _grove(p, (1,) * net.m) / _valid(p)
         checks = _Checks("det-response", net)
         checks.compare(lhs, rhs)
         return checks.report(rat_str(lhs), rat_str(rhs))

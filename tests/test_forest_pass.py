@@ -400,8 +400,9 @@ BOUNDARIES = {
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(sorted(BOUNDARIES)))
 def test_the_one_scan_sums_equal_the_general_sums(seed, boundary):
-    # Kirchhoff's part 2 and the entries of L, each summed in one scan,
-    # against the all-minors formula and the signed sum pair by pair
+    # Kirchhoff's trees and pairs, each one key of the table, against the
+    # all-minors formula, and the entries of L, summed in one scan, against
+    # the signed sum, pair by pair
     rng = random.Random(seed)
     net = BOUNDARIES[boundary](random_network(rng, max_n=6, max_edges=9), rng)
     m, nr = net.m, net.non_roots
@@ -409,12 +410,14 @@ def test_the_one_scan_sums_equal_the_general_sums(seed, boundary):
     p.want()
     p.run()
     H = verify._electrical(p)
-    pairs = verify._pair_sums(p)
-    every = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    assert set(pairs) <= set(every)
+    trees = verify._grove(p, (1,) * m)
+    assert trees > 0
+    assert trees / H == verify._all_minors(p, (), (), tuple(range(1, m)), H)
+    pairs = {}
+    for i, j in itertools.combinations(range(1, m + 1), 2):
+        pairs[i, j] = verify._grove(p, tuple(i if v == j else v for v in range(1, m + 1)))
+        assert -pairs[i, j] / H == verify._all_minors(p, (i,), (j,), (), H)
     assert m < 2 or any(pairs.values())
-    for i, j in every:
-        assert -pairs.get((i, j), 0) / H == verify._all_minors(p, (i,), (j,), (), H)
     sums = verify._entry_sums(p)
     assert set(sums) == set(itertools.product(nr, repeat=2))
     assert all(sums[i, i] > 0 for i in nr)
@@ -453,13 +456,15 @@ def test_pattern_facts_are_decided_once_per_key(monkeypatch):
         grouped.append([(pattern, tuple(map(tuple, groups))) for pattern, groups in groupings])
     # validity, relative validity and the signed partitions are shared by
     # every theorem; a sign is asked once per key and pair, a grouping once
-    # per key by each theorem that names it
+    # per key by each theorem that names it; kirchhoff reads single keys and
+    # names no grouping
     tree_calls, partition_calls = shared
+    assert grouped[1] == []
     decided = [
         [(id(qg), edges, pattern) for qg, edges, pattern in tree_calls],
         [(edges, pattern) for _, edges, pattern in partition_calls],
         [args[1:] for args in signs],
-        *grouped[1:],
+        grouped[2],
     ]
     for made in decided:
         assert made and len(made) == len(set(made))

@@ -100,12 +100,12 @@ def forest_route(net: SuperportNetwork) -> None:
     p.run()
     m = net.m
     H = verify._electrical(p)
-    # kirchhoff's part 1 and kw's minors take the general formula, part 2
-    # and the entries one scan each
-    verify._all_minors(p, (), (), tuple(range(1, m)), H)
+    # kirchhoff's trees and pairs are single keys, kw's minors take the
+    # general formula, and the entries one scan
+    verify._grove(p, (1,) * m)
     if m >= 2:
         verify._all_minors(p, (1,), (2,), (), H)
-    verify._pair_sums(p)
+        verify._grove(p, (1, 1, *range(3, m + 1)))
     verify._valid(p)
     verify._entry_sums(p)
     p.weight(m - net.p + 1, lambda key: sum(sign for _, sign in p.facts(key).partitions))

@@ -189,12 +189,7 @@ MUTANTS = {
         "    comps = [{pattern[v - 1] for v in g} for g in groups]\n"
         "    return sum(map(len, comps)) == len(groups)",
     ),
-    "electrical-family-allows-interior": (
-        "verify.py",
-        "p.weight(m, lambda key: len(set(key[1])) == m)",
-        "p.weight(m, lambda key: True)",
-    ),
-    # the one signed sum over the grove table, and Kirchhoff as its minors
+    # the one signed sum over the grove table, and both orientations of C_i^j
     "weight-drops-sign": (
         "forests.py",
         "sum(sign(key) * units for key, units in self.units.items()",
@@ -205,17 +200,23 @@ MUTANTS = {
         "for lhs in (entry, C.entry(j, i)):",
         "for lhs in (entry, C.entry(i, j)):",
     ),
-    # Kirchhoff's part 2 and the entries of L, each summed in one scan
-    "kirchhoff-pair-drops-class-count": (
+    # the grove table read by key: H, the trees and Kirchhoff's pairs
+    "grove-electrical-reads-trees": (
         "verify.py",
-        "if count == edges and len(set(pattern)) == m - 1:",
-        "if count == edges:",
+        "return _grove(p, tuple(range(1, p.net.m + 1)))",
+        "return _grove(p, (1,) * p.net.m)",
     ),
-    "kirchhoff-pair-reversed": (
+    "grove-edges-count-pattern-length": (
         "verify.py",
-        "pair = (pattern[j - 1], j)",
-        "pair = (j, pattern[j - 1])",
+        "edges = p.net.n - len(set(pattern))",
+        "edges = p.net.n - len(pattern)",
     ),
+    "grove-pair-reversed": (
+        "verify.py",
+        "tuple(i if v == j else v for v in range(1, m + 1))",
+        "tuple(j if v == i else v for v in range(1, m + 1))",
+    ),
+    # the entries of L, summed in one scan
     "entries-sum-ignores-relative": (
         "verify.py",
         "                for j in relative:\n",
