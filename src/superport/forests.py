@@ -45,9 +45,12 @@ hash; it yields, and a `Forest` is built for, only the forests some taker
 reads, and it folds a forest that ends in the last edge into its known
 key without a step of its own.  Only statements about single forests (the
 cancellation involution, the combinatorial voltages and currents) still
-take forests one by one, those whose key admits them; each such forest's
-main cycle is searched for directly, and the involution reads only its
-ends, which the cancellation shares per (key, ends).  `forests --kind` and
+take forests one by one, those whose key admits them.  The involution
+reads only the ends of a forest's main cycle, and when the quotients of a
+key's forests have one cycle, the pattern fixes those ends
+(`pattern_cycle_ends`); only the forests of the other keys have their
+main cycle searched for, directly, and the cancellation shares their
+checks per (key, ends).  `forests --kind` and
 the counting corollaries read patterns too, from the untracked walk: a
 kind's forests and the valid forests by `pattern_is_tree` on the edge count
 and labels, the trees by edge count alone.  The per-forest predicates
@@ -79,6 +82,7 @@ from .network import QuotientGraph, SuperportNetwork, _join
 __all__ = [
     "DEFAULT_CAP",
     "CapExceeded",
+    "CycleEnds",
     "Forest",
     "ForestEnsemble",
     "ForestIsValid",
@@ -97,6 +101,7 @@ __all__ = [
     "partition_sign",
     "partitions_for_forest",
     "pattern_components",
+    "pattern_cycle_ends",
     "pattern_is_tree",
     "pattern_partition_sign",
     "pattern_partitions",
@@ -651,29 +656,20 @@ def pattern_partition_sign(
 # -- the main cycle and the involution --------------------------------------------
 
 
-class MainCycle(NamedTuple):
-    """Canonical simple cycle of a forest's superport quotient.
+class CycleEnds(NamedTuple):
+    """The ends of a quotient cycle's forest paths: U the path tails, V the
+    path heads.  They are all the involution reads of a cycle."""
 
-    `classes` is the vertex string (class labels, starting at the smallest),
-    `edges` the network edge indices in traversal order, and `paths` the
-    split of those edges into maximal paths of the forest, each as
-    (tail, head, edge run) in cycle order.  `ends` is (U, V): the sets of
-    path tails and of path heads, all the involution reads of the cycle.
-    """
-
-    classes: tuple[int, ...]
-    edges: tuple[int, ...]
-    paths: tuple[tuple[int, int, tuple[int, ...]], ...]
-    ends: tuple[frozenset[int], frozenset[int]]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
+    U: frozenset[int]
+    V: frozenset[int]
 
     def involution(self, part: XYZWPartition) -> XYZWPartition:
-        """The image of a partition of this cycle's forest under the
-        sign-reversing involution (see involution_f)."""
-        U, V = self.ends
+        """The image of a partition under the sign-reversing involution that
+        these ends drive (see involution_f).  Both orders of the ends are
+        tried, so reversing the cycle gives the same image: X, Y, Z and W
+        are disjoint and U and V are not empty, so at most one order
+        matches."""
+        U, V = self
         for a, b in ((U, V), (V, U)):
             if a <= part.X and b <= part.Y:
                 return XYZWPartition(
@@ -684,6 +680,26 @@ class MainCycle(NamedTuple):
                     X=part.X | a, Y=part.Y | b, Z=part.Z - a, W=part.W - b
                 )
         raise ValueError("partition does not satisfy the cycle condition")
+
+
+class MainCycle(NamedTuple):
+    """Canonical simple cycle of a forest's superport quotient.
+
+    `classes` is the vertex string (class labels, starting at the smallest),
+    `edges` the network edge indices in traversal order, and `paths` the
+    split of those edges into maximal paths of the forest, each as
+    (tail, head, edge run) in cycle order.  `ends` holds the sets of path
+    tails and of path heads, which drive the involution.
+    """
+
+    classes: tuple[int, ...]
+    edges: tuple[int, ...]
+    paths: tuple[tuple[int, int, tuple[int, ...]], ...]
+    ends: CycleEnds
+
+    @property
+    def length(self) -> int:
+        return len(self.edges)
 
 
 def _quotient_adjacency(net: SuperportNetwork, forest: Forest) -> tuple[list, list]:
@@ -807,9 +823,72 @@ def main_cycle(net: SuperportNetwork, forest: Forest) -> Optional[MainCycle]:
             run = []
         run.append((tail, head, e))
     paths.append((run[0][0], run[-1][1], tuple(r[2] for r in run)))
-    ends = (frozenset(u for u, _, _ in paths), frozenset(v for _, v, _ in paths))
+    ends = CycleEnds(frozenset(u for u, _, _ in paths), frozenset(v for _, v, _ in paths))
     string = tuple(qg.labels[c] for c in classes)
     return MainCycle(classes=string, edges=tuple(edges), paths=tuple(paths), ends=ends)
+
+
+def pattern_cycle_ends(net: SuperportNetwork, pattern: Sequence[int]) -> Optional[CycleEnds]:
+    """`main_cycle(net, forest).ends`, up to orientation, for every forest
+    with this boundary pattern, when its superport quotient has exactly one
+    cycle; None when it has none or more than one.
+
+    The component-superport graph of a pattern has a node for each forest
+    component that holds a boundary vertex and one for each superport, and
+    an edge for each boundary vertex v, joining v's component to v's
+    superport.  It has as many independent cycles as the quotient of every
+    forest with the pattern: a forest with c components, b of them holding
+    boundary vertices, has n - c edges on n - m + p classes, and its image
+    has c - b components without boundary vertices besides one for each
+    component of the graph, so both cycle ranks are m - b - p plus the
+    graph's component count.  With one cycle, the quotient's cycle crosses
+    each component on it by a forest path from the boundary vertex where it
+    enters to the one where it leaves, and goes on through that vertex's
+    superport class to the next component, entering it at another vertex
+    of the superport.  The graph's cycle takes the same vertices as its
+    edges, path heads and path tails in turn, so the ends are its two
+    alternating halves.  The leaves of the graph are stripped until only
+    its cycles are left; one cycle is left iff every node left has two
+    edges and a walk from one edge covers them all.
+    """
+    m = net.m
+    index = net.superport_index
+    # component nodes are the labels 1..m, superport k is node m + 1 + k
+    joins = [(0, 0)] + [(pattern[v - 1], m + 1 + index[v]) for v in range(1, m + 1)]
+    incident: list[list[int]] = [[] for _ in range(m + 1 + net.p)]
+    for v in range(1, m + 1):
+        for node in joins[v]:
+            incident[node].append(v)
+    left = set(range(1, m + 1))
+    leaves = [node for node, edges in enumerate(incident) if len(edges) == 1]
+    while leaves:
+        node = leaves.pop()
+        if len(incident[node]) != 1:
+            continue  # its one edge went with the neighbour it joined
+        v = incident[node].pop()
+        left.discard(v)
+        a, b = joins[v]
+        far = b if a == node else a
+        incident[far].remove(v)
+        if len(incident[far]) == 1:
+            leaves.append(far)
+    if not left or any(len(edges) > 2 for edges in incident):
+        return None
+    # walk the cycle from its least edge, leaving that edge's component
+    start = min(left)
+    walk, v, node = [], start, joins[start][0]
+    while True:
+        walk.append(v)
+        a, b = joins[v]
+        node = b if a == node else a
+        first, second = incident[node]
+        v = second if first == v else first
+        if v == start:
+            break
+    if len(walk) != len(left):
+        return None  # another cycle does not meet this one
+    # each path ends at the edge that leaves its component
+    return CycleEnds(frozenset(walk[1::2]), frozenset(walk[::2]))
 
 
 def involution_f(
@@ -825,7 +904,7 @@ def involution_f(
     mc = main_cycle(net, forest)
     if mc is None:
         raise ForestIsValid("the forest's quotient has no cycle")
-    return mc.involution(part)
+    return mc.ends.involution(part)
 
 
 # -- the forest pass ---------------------------------------------------------------

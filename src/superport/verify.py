@@ -30,7 +30,8 @@ groupings and signed partitions are decided once per key.  The statements
 about single forests, the cancellation involution and the combinatorial
 voltages and currents, register takers on the pass instead, which receive
 each forest whose key admits it; the cancellation checks its involution
-once per key and main-cycle ends.  `run_verifications` registers what every
+once per key whose pattern fixes the main-cycle ends, and once per key and
+ends elsewhere.  `run_verifications` registers what every
 requested theorem needs, enumerates once if any of them reads forests, and
 then lets each theorem sum and compare; K, C and L are built once, by the
 first report that reads them.  A standalone verifier runs the same sums on
@@ -70,14 +71,15 @@ from typing import Callable, Iterable, Optional, Sequence
 from .forests import (
     DEFAULT_CAP,
     CapExceeded,
+    CycleEnds,
     Forest,
     ForestIsValid,
     ForestPass,
     Key,
-    MainCycle,
     PatternFacts,
     check_cap,
     main_cycle,
+    pattern_cycle_ends,
     pattern_is_tree,
     pattern_separates,
     pattern_sign,
@@ -546,8 +548,10 @@ def _cancellation(p: ForestPass) -> Finish:
         checks.fail(lhs, rhs, forest=list(forest.edges), note=note)
 
     m1 = net.m + 1
-    counted: dict = {}  # key -> the signed count of its partitions
-    faults: dict = {}  # (key, main-cycle ends) -> how the involution fails, or None
+    # key -> the signed count of its partitions, and the main-cycle ends of
+    # all its forests or None
+    decided: dict = {}
+    faults: dict = {}  # key, or (key, main-cycle ends) -> how the involution fails, or None
 
     def add(f: Forest, facts: PatternFacts) -> None:
         valid, _, parts = facts
@@ -561,19 +565,25 @@ def _cancellation(p: ForestPass) -> Finish:
                 fail(str(part), "X=Y=empty, sign +1", f, "valid forest partition")
             return
         key = (len(f.edges), f.components[1:m1])
-        if key not in counted:
-            counted[key] = sum(sign for _, sign in parts)
-        if counted[key] != 0:
-            fail(counted[key], 0, f, "non-valid forest signed count")
+        if key not in decided:
+            decided[key] = sum(sign for _, sign in parts), pattern_cycle_ends(net, key[1])
+        signed, ends = decided[key]
+        if signed != 0:
+            fail(signed, 0, f, "non-valid forest signed count")
             return
-        mc = main_cycle(net, f)
-        if mc is None:
-            raise ForestIsValid("the forest's quotient has no cycle")
         # the key fixes the signed partitions and the involution reads only
-        # the cycle's ends, so every forest sharing both fares alike
-        shared = (key, mc.ends)
+        # the cycle's ends, in either order, so every forest sharing both
+        # fares alike; a quotient with one cycle has the key's ends
+        if ends is None:
+            mc = main_cycle(net, f)
+            if mc is None:
+                raise ForestIsValid("the forest's quotient has no cycle")
+            ends = mc.ends
+            shared = (key, ends)
+        else:
+            shared = key
         if shared not in faults:
-            faults[shared] = _involution_fault(mc, parts)
+            faults[shared] = _involution_fault(ends, parts)
         if faults[shared] is not None:
             lhs, rhs, note = faults[shared]
             fail(lhs, rhs, f, note)
@@ -583,19 +593,20 @@ def _cancellation(p: ForestPass) -> Finish:
     return lambda matrices: checks.report(f"{checks.count} forests", "structure holds")
 
 
-def _involution_fault(mc: MainCycle, parts) -> Optional[tuple]:
-    """The first way the involution of this main cycle fails on a forest's
-    signed partitions, as (lhs, rhs, note), or None if it pairs them off."""
+def _involution_fault(ends: CycleEnds, parts) -> Optional[tuple]:
+    """The first way the involution these cycle ends drive fails on a
+    forest's signed partitions, as (lhs, rhs, note), or None if it pairs
+    them off."""
     index = dict(parts)
     for part, sign in parts:
-        image = mc.involution(part)
+        image = ends.involution(part)
         if image not in index:
             return str(image), "a partition of the forest", "involution image"
         if image == part:
             return str(image), "a different partition", "involution fixed point"
         if index[image] != -sign:
             return index[image], -sign, "involution sign"
-        if mc.involution(image) != part:
+        if ends.involution(image) != part:
             return "f(f(part))", "part", "involution squared"
     return None
 
@@ -607,9 +618,13 @@ def verify_cancellation(net: SuperportNetwork) -> Report:
     sign +1.  A non-valid forest's partitions must cancel pairwise under the
     involution: f maps each partition to a different partition of the same
     forest with the opposite sign, f o f is the identity, and the signed sum
-    over the forest's partitions is zero.  The signed count is decided once
-    per key; the main cycle that drives f is found once per forest, and the
-    involution checked once per key and cycle ends, which fix its outcome.
+    over the forest's partitions is zero.  The key fixes the signed
+    partitions, and f reads only the ends of the forest's main cycle, in
+    either order.  So the signed count is decided once per key, and so are
+    the ends when the key's quotients have one cycle
+    (`forests.pattern_cycle_ends`), with the involution checked once for the
+    key; on the other keys the main cycle is searched for on each forest,
+    and the involution checked once per key and ends.
     """
     return _alone(net, _cancellation)
 

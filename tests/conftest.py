@@ -74,6 +74,19 @@ def side_square(a, b, c, d):
     )
 
 
+def multi_cycle_network():
+    """Draw 1567 of random_network(Random(3), max_n=8, max_edges=12): the
+    forests of key (3, (1, 1, 3, 3, 5)) carry partitions and have quotients
+    with two cycles, and their main cycles have two different pairs of
+    ends."""
+    return canonical_network(
+        [(1, 2, 4), (1, 4, Fraction(10, 9)), (1, 5, Fraction(3, 2)), (2, 3, Fraction(7, 10)),
+         (2, 5, Fraction(2, 5)), (3, 4, Fraction(4, 7)), (3, 6, Fraction(1, 4)),
+         (4, 5, Fraction(5, 7)), (4, 6, Fraction(7, 3)), (5, 6, Fraction(9, 7))],
+        [[1, 2], [3, 4], [5]],
+    )
+
+
 def five_step_c2l(C, superports):
     """The paper's five-step reduction of C to L, the reference that
     `superport.c2l` is held to: 1. drop row and column m, invert; 2. for

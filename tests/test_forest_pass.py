@@ -44,10 +44,10 @@ from superport import (
     verify_valid_minor_sum,
 )
 from superport.forests import (
+    CycleEnds,
     Forest,
     ForestPass,
     GroveNode,
-    MainCycle,
     enumerate_spanning_forests,
     forest_sign,
     is_relatively_valid,
@@ -55,6 +55,7 @@ from superport.forests import (
     main_cycle,
     partition_sign,
     partitions_for_forest,
+    pattern_cycle_ends,
     pattern_is_tree,
     pattern_partition_sign,
     pattern_partitions,
@@ -70,7 +71,7 @@ from superport.linalg import rat_str
 from superport.network import network_to_data
 from superport.solver import c2l, kirchhoff_matrix
 
-from conftest import w_network
+from conftest import multi_cycle_network, w_network
 
 
 def standalone_reports(net, rng):
@@ -470,11 +471,13 @@ def test_pattern_facts_are_decided_once_per_key(monkeypatch):
         assert made and len(made) == len(set(made))
     assert len(partition_calls) == len(keys)
     assert len(grouped[0]) < len(every)
-    # the involution is a statement about one forest: once per non-valid
-    # forest with partitions, each forest once
+    # the involution is a statement about one forest, but a key whose
+    # quotients have one cycle fixes its ends: the main cycle is searched
+    # for once per non-valid forest with partitions of the other keys
     cycled = [f for f in every if not is_valid(f, net) and any(partitions_for_forest(net, f))]
     assert cycled
-    assert [args[1] for args in cycles] == cycled
+    searched = [f for f in cycled if pattern_cycle_ends(net, key_of(net, f)[1]) is None]
+    assert [args[1] for args in cycles] == searched
 
 
 # -- the walk tracks the key: against the table built from Forests -------------
@@ -532,14 +535,15 @@ def test_a_tracked_walk_folds_the_forests_no_taker_reads(seed, p_max):
     assert [(key, node.units) for key, node in grove.items()] == table
 
 
-# -- the cancellation: one involution check per (key, main-cycle ends) ---------
+# -- the cancellation: one involution check per key, or per (key, ends) -------
 
 
 def cycled_forests(net):
     """The non-valid forests with partitions, in enumeration order, each with
-    its key and its main cycle's ends."""
+    its key and the cycle ends the cancellation reads: the key's own when
+    its quotients have one cycle, else its main cycle's."""
     return [
-        (f, key_of(net, f), main_cycle(net, f).ends)
+        (f, key_of(net, f), pattern_cycle_ends(net, key_of(net, f)[1]) or main_cycle(net, f).ends)
         for f in enumerate_spanning_forests(net)
         if not is_valid(f, net) and any(partitions_for_forest(net, f))
     ]
@@ -551,13 +555,13 @@ def test_cancellation_checks_the_involution_once_per_key_and_ends(monkeypatch):
     shared = {(key, ends) for _, key, ends in cycled}
     assert len(shared) < len(cycled)
     calls = []
-    original = MainCycle.involution
+    original = CycleEnds.involution
 
     def counting(self, part):
         calls.append(part)
         return original(self, part)
 
-    monkeypatch.setattr(MainCycle, "involution", counting)
+    monkeypatch.setattr(CycleEnds, "involution", counting)
     assert verify_cancellation(net).ok
     size = {key: sum(1 for _ in pattern_partitions(net, *key)) for _, key, _ in cycled}
     # two calls per partition at most: its image, and the image of that
@@ -572,7 +576,7 @@ def test_a_failing_involution_names_the_first_forest(monkeypatch):
         if is_valid(f, net) or any(partitions_for_forest(net, f))
     ]
     first = cycled_forests(net)[0][0]
-    monkeypatch.setattr(MainCycle, "involution", lambda self, part: part)
+    monkeypatch.setattr(CycleEnds, "involution", lambda self, part: part)
     report = verify_cancellation(net)
     assert report.status == "fail"
     assert report.witness["note"] == "involution fixed point"
@@ -582,29 +586,29 @@ def test_a_failing_involution_names_the_first_forest(monkeypatch):
 
 def test_an_involution_failing_on_one_key_and_ends_names_its_first_forest(monkeypatch):
     # the involution fails on one key's partitions under one cycle's ends;
-    # the key's first forest has other ends, so a check shared by key alone
-    # would pass the key
-    net = canonical_network(
-        [(1, 3, 2), (1, 5, 2), (1, 6, 7), (2, 4, 1), (3, 4, 2), (3, 5, 3)],
-        [[1, 2], [3, 4, 5], [6]],
-    )
+    # the key's quotients have two cycles and its first forest has other
+    # ends, so a check shared by key alone would pass the key
+    net = multi_cycle_network()
     cycled = cycled_forests(net)
     first_ends = {}
     for _, key, ends in cycled:
         first_ends.setdefault(key, ends)
-    bad_key, bad_ends = next((key, ends) for _, key, ends in cycled if ends != first_ends[key])
+    bad_key, bad_ends = next(
+        (key, ends) for _, key, ends in cycled if set(ends) != set(first_ends[key])
+    )
+    assert bad_key == (3, (1, 1, 3, 3, 5)) and pattern_cycle_ends(net, bad_key[1]) is None
     bad_parts = set(pattern_partitions(net, *bad_key))
     witness = next(
         f for f, key, ends in cycled
-        if ends == bad_ends and bad_parts.intersection(pattern_partitions(net, *key))
+        if set(ends) == set(bad_ends) and bad_parts.intersection(pattern_partitions(net, *key))
     )
-    assert first_ends[key_of(net, witness)] != bad_ends
-    original = MainCycle.involution
+    assert set(first_ends[key_of(net, witness)]) != set(bad_ends)
+    original = CycleEnds.involution
 
     def failing(self, part):
-        return part if self.ends == bad_ends and part in bad_parts else original(self, part)
+        return part if set(self) == set(bad_ends) and part in bad_parts else original(self, part)
 
-    monkeypatch.setattr(MainCycle, "involution", failing)
+    monkeypatch.setattr(CycleEnds, "involution", failing)
     report = verify_cancellation(net)
     assert report.witness["note"] == "involution fixed point"
     assert report.witness["forest"] == list(witness.edges)

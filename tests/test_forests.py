@@ -31,7 +31,10 @@ from superport import (
     unify_superports,
 )
 
-from conftest import side_square, w_network
+from superport.forests import CycleEnds, pattern_cycle_ends
+
+from conftest import multi_cycle_network, side_square, w_network
+from test_sweep import small_networks
 
 
 def triangle():
@@ -526,3 +529,67 @@ def test_main_cycle_is_the_least_listed_cycle(seed, p_max):
         assert mc.paths == split_into_paths(net, string, edges)
         tails, heads, _ = zip(*mc.paths)
         assert mc.ends == (frozenset(tails), frozenset(heads))
+
+
+def component_superport_rank(net, pattern) -> int:
+    """The cycle rank of a pattern's component-superport graph: a node per
+    component label and per superport, an edge per boundary vertex; each
+    edge whose ends a union-find has already joined closes a cycle."""
+    root = {}
+
+    def find(node):
+        while root.setdefault(node, node) != node:
+            node = root[node]
+        return node
+
+    rank = 0
+    for v in range(1, net.m + 1):
+        a, b = find(("component", pattern[v - 1])), find(("superport", net.superport_index[v]))
+        if a == b:
+            rank += 1
+        else:
+            root[a] = b
+    return rank
+
+
+def check_cycle_ends(net) -> tuple[int, int]:
+    """Hold `pattern_cycle_ends` to the main cycle on every non-valid forest
+    with partitions: None iff the forest's quotient, and so the key's
+    component-superport graph, has other than one cycle, else the main
+    cycle's ends in one order or the other; and the involution gives each
+    partition one image under both orders of the main cycle's ends.
+    Returns the number of forests whose quotient has one cycle, and of
+    those whose quotient has more."""
+    one = more = 0
+    for f in enumerate_spanning_forests(net):
+        parts = list(partitions_for_forest(net, f))
+        if is_valid(f, net) or not parts:
+            continue
+        U, V = main_cycle(net, f).ends
+        for part in parts:
+            assert CycleEnds(U, V).involution(part) == CycleEnds(V, U).involution(part)
+        cycles = {frozenset(edges) for _, edges in simple_quotient_cycles(net, f)}
+        pattern = f.components[1 : net.m + 1]
+        assert (len(cycles) == 1) == (component_superport_rank(net, pattern) == 1)
+        ends = pattern_cycle_ends(net, pattern)
+        if len(cycles) == 1:
+            assert ends in ((U, V), (V, U))
+            one += 1
+        else:
+            assert ends is None
+            more += 1
+    return one, more
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=1, max_value=4))
+def test_pattern_cycle_ends_are_the_main_cycle_ends(seed, p_max):
+    check_cycle_ends(random_network(random.Random(seed), max_n=7, max_edges=10, p_max=p_max))
+
+
+def test_pattern_cycle_ends_on_every_small_network():
+    # no network on four vertices has a forest with partitions whose
+    # quotient has two cycles; the multi-cycle network has four
+    one, more = map(sum, zip(*map(check_cycle_ends, small_networks())))
+    assert (one, more) == (66, 0)
+    assert check_cycle_ends(multi_cycle_network())[1] == 4

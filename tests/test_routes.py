@@ -34,7 +34,7 @@ from superport import (
     solve,
     verify,
 )
-from superport.forests import ForestPass
+from superport.forests import ForestPass, pattern_cycle_ends
 
 # the hook names functions by `co_qualname`, which code objects carry from 3.11
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
@@ -109,6 +109,9 @@ def forest_route(net: SuperportNetwork) -> None:
     verify._valid(p)
     verify._entry_sums(p)
     p.weight(m - net.p + 1, lambda key: sum(sign for _, sign in p.facts(key).partitions))
+    # the cancellation reads each key's main-cycle ends from its pattern
+    for _, pattern in p.units:
+        pattern_cycle_ends(net, pattern)
 
 
 def test_the_routes_share_only_network_accessors():
@@ -117,6 +120,7 @@ def test_the_routes_share_only_network_accessors():
         net = random_network(rng, require_nonroots=True)
         matrix, forest = reached(matrix_route, net), reached(forest_route, net)
         assert "solver.response_matrices" in matrix and "forests._walk" in forest
+        assert "forests.pattern_cycle_ends" in forest
         assert matrix & forest <= SHARED, sorted(matrix & forest - SHARED)
 
 

@@ -62,10 +62,15 @@ def shapes(max_n: int):
             for edges in itertools.combinations(pairs, count):
                 if not is_connected(n, edges):
                     continue
+                # forms compare their edges first, so the least form comes
+                # from a permutation that gives the least edges
+                moved = [form(pi, edges, ())[0] for pi in perms]
+                least_edges = min(moved)
+                best = [pi for pi, e in zip(perms, moved) if e == least_edges]
                 for m in vertices:
                     for boundary in itertools.combinations(vertices, m):
                         for superports in set_partitions(list(boundary)):
-                            least = min(form(pi, edges, superports) for pi in perms)
+                            least = min(form(pi, edges, superports) for pi in best)
                             if least not in seen:
                                 seen.add(least)
                                 yield least

@@ -117,10 +117,24 @@ MUTANTS = {
         "        if True:\n            if self.net is not None:\n",
     ),
     # the cancellation's involution check, shared per (key, main-cycle ends)
+    # on keys whose quotients have more than one cycle
     "cancellation-shares-by-key-alone": (
         "verify.py",
-        "shared = (key, mc.ends)",
+        "shared = (key, ends)",
         "shared = key",
+    ),
+    # a key's main-cycle ends read from its pattern.  Swapping the two halves
+    # is an equivalent mutant: the involution tries both orders of the ends
+    # and at most one matches, so it is left out
+    "cycle-ends-skips-one-cycle-test": (
+        "forests.py",
+        "    if len(walk) != len(left):\n        return None  # another cycle does not meet this one\n",
+        "",
+    ),
+    "cycle-ends-vertex-in-wrong-half": (
+        "forests.py",
+        "return CycleEnds(frozenset(walk[1::2]), frozenset(walk[::2]))",
+        "return CycleEnds(frozenset(walk[:2] + walk[3::2]), frozenset(walk[2::2]))",
     ),
     # the grove table key, tracked by the walk
     "key-drops-edge-count": (
