@@ -850,6 +850,10 @@ def pattern_cycle_ends(net: SuperportNetwork, pattern: Sequence[int]) -> Optiona
     alternating halves.  The leaves of the graph are stripped until only
     its cycles are left; one cycle is left iff every node left has two
     edges and a walk from one edge covers them all.
+
+    The ends come from the pattern alone, not from one forest of the key,
+    so that the involution can be checked per key from a grove table with
+    no forest at hand, as a table filled past the edge cap will be.
     """
     m = net.m
     index = net.superport_index

@@ -551,7 +551,7 @@ def _cancellation(p: ForestPass) -> Finish:
     # key -> the signed count of its partitions, and the main-cycle ends of
     # all its forests or None
     decided: dict = {}
-    faults: dict = {}  # key, or (key, main-cycle ends) -> how the involution fails, or None
+    faults: dict = {}  # (key, main-cycle ends) -> how the involution fails, or None
 
     def add(f: Forest, facts: PatternFacts) -> None:
         valid, _, parts = facts
@@ -579,9 +579,7 @@ def _cancellation(p: ForestPass) -> Finish:
             if mc is None:
                 raise ForestIsValid("the forest's quotient has no cycle")
             ends = mc.ends
-            shared = (key, ends)
-        else:
-            shared = key
+        shared = (key, ends)
         if shared not in faults:
             faults[shared] = _involution_fault(ends, parts)
         if faults[shared] is not None:

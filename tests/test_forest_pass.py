@@ -473,11 +473,22 @@ def test_pattern_facts_are_decided_once_per_key(monkeypatch):
     assert len(grouped[0]) < len(every)
     # the involution is a statement about one forest, but a key whose
     # quotients have one cycle fixes its ends: the main cycle is searched
-    # for once per non-valid forest with partitions of the other keys
-    cycled = [f for f in every if not is_valid(f, net) and any(partitions_for_forest(net, f))]
-    assert cycled
-    searched = [f for f in cycled if pattern_cycle_ends(net, key_of(net, f)[1]) is None]
-    assert [args[1] for args in cycles] == searched
+    # for once per non-valid forest with partitions of the other keys.  With
+    # partitions, the component-superport graph has m + 1 nodes and m edges,
+    # so two cycles need m >= 5: on this network (m = 4) there is no search,
+    # and on multi_cycle_network (m = 5) one per forest of its two-cycle keys
+    for net in (net, multi_cycle_network()):
+        del cycles[:]
+        reports = run_verifications(net, ["all"], rng=random.Random(0))
+        assert reports and all(r.ok for r in reports)
+        cycled = [
+            f for f in enumerate_spanning_forests(net)
+            if not is_valid(f, net) and any(partitions_for_forest(net, f))
+        ]
+        assert cycled
+        searched = [f for f in cycled if pattern_cycle_ends(net, key_of(net, f)[1]) is None]
+        assert len(searched) == (0 if net.m == 4 else 4)
+        assert [args[1] for args in cycles] == searched
 
 
 # -- the walk tracks the key: against the table built from Forests -------------

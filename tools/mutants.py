@@ -116,8 +116,9 @@ MUTANTS = {
         "        if self.failure is None:\n            if self.net is not None:\n",
         "        if True:\n            if self.net is not None:\n",
     ),
-    # the cancellation's involution check, shared per (key, main-cycle ends)
-    # on keys whose quotients have more than one cycle
+    # the cancellation's involution check, shared per (key, main-cycle ends);
+    # the ends differ between forests of a key only when its quotients have
+    # more than one cycle
     "cancellation-shares-by-key-alone": (
         "verify.py",
         "shared = (key, ends)",

@@ -1,8 +1,8 @@
 """Exhaustive sweep of every superport network on up to five vertices.
 
 The tier-1 sweep, ``tests/test_sweep.py``, stops at four vertices (157
-networks).  This script runs the same generator at ``--max-n`` (default 5:
-1,991 networks) and checks, on each network,
+networks).  This script runs the same generator at five vertices (1,991
+networks) and checks, on each network,
 
 * every theorem, through ``run_verifications(net, ["all"])``, with one
   ``random.Random(0)`` drawn from across the networks, as in the tier-1
@@ -19,12 +19,11 @@ refuses to run under ``python -O``.  At n <= 5 it takes about two minutes
 on a 2-core machine, 3 s of it generating the shapes.
 
 Usage:
-    python3 tools/sweep.py [--max-n N]
+    python3 tools/sweep.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -40,15 +39,14 @@ from test_forests import check_cycle_ends  # noqa: E402
 from test_sweep import kw_minors, small_networks  # noqa: E402
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=5, choices=range(2, 6), metavar="N",
-                        help="largest vertex count, 2 to 5 (default 5)")
-    args = parser.parse_args(argv)
+MAX_N = 5
+
+
+def main() -> int:
     if sys.flags.optimize:
         sys.exit("run without -O: the cycle-end check asserts")
     start = time.perf_counter()
-    nets = small_networks(args.max_n)
+    nets = small_networks(MAX_N)
     generated = time.perf_counter() - start
     rng = random.Random(0)
     reports = minors = one = more = failures = 0
@@ -75,7 +73,7 @@ def main(argv=None) -> int:
         else:
             one, more = one + counts[0], more + counts[1]
     print(
-        f"n <= {args.max_n}: {len(nets)} networks (generated in {generated:.1f} s), "
+        f"n <= {MAX_N}: {len(nets)} networks (generated in {generated:.1f} s), "
         f"{reports} reports, {minors} Kenyon-Wilson minors, cycle ends on {one} forests "
         f"with one quotient cycle and {more} with more, {failures} failures, "
         f"{time.perf_counter() - start:.1f} s"
