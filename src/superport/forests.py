@@ -47,10 +47,10 @@ key without a step of its own.  Only statements about single forests (the
 cancellation involution, the combinatorial voltages and currents) still
 take forests one by one, those whose key admits them.  The involution
 reads only the ends of a forest's main cycle, and when the quotients of a
-key's forests have one cycle, the pattern fixes those ends
-(`pattern_cycle_ends`); only the forests of the other keys have their
-main cycle searched for, directly, and the cancellation shares their
-checks per (key, ends).  `forests --kind` and
+key's forests have one cycle (`pattern_cycle_rank`), all its forests
+share those ends up to orientation: the cancellation searches for the
+main cycle of the key's first forest only, and of every forest of the
+other keys, sharing their checks per (key, ends).  `forests --kind` and
 the counting corollaries read patterns too, from the untracked walk: a
 kind's forests and the valid forests by `pattern_is_tree` on the edge count
 and labels, the trees by edge count alone.  The per-forest predicates
@@ -60,9 +60,9 @@ forests by component count, with plain weight sums, for callers that read
 them more than once.  The package's one union-find, `network._join`,
 which also checks the loader's connectivity, joins quotient classes for
 validity, forest signs and the combinatorial voltages, from forest edges
-(`quotient_components`) or from a pattern (`pattern_components`);
-enumeration keeps component labels of its own, because it must undo each
-join.
+(`quotient_components`) or from a pattern (`pattern_components`), and
+components with superports for a pattern's cycle rank; enumeration keeps
+component labels of its own, because it must undo each join.
 
 The sign structures (forest signs, XYZW partitions, the main cycle, and the
 sign-reversing involution on partitions) follow the definitions used by the
@@ -75,6 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .network import QuotientGraph, SuperportNetwork, _join
@@ -101,7 +102,7 @@ __all__ = [
     "partition_sign",
     "partitions_for_forest",
     "pattern_components",
-    "pattern_cycle_ends",
+    "pattern_cycle_rank",
     "pattern_is_tree",
     "pattern_partition_sign",
     "pattern_partitions",
@@ -343,11 +344,12 @@ def pattern_components(qg: QuotientGraph, pattern: Sequence[int]) -> tuple[list[
 
 
 def quotient_path(
-    net: SuperportNetwork, qg: QuotientGraph, forest: Forest, start: int, end: int
+    qg: QuotientGraph, forest: Forest, start: int, end: int
 ) -> list[tuple[int, int]]:
     """The forest edges on the path from the class of vertex `start` to the
     class of vertex `end` in the forest's quotient, which must join them;
-    each as its (tail, head) vertex pair, oriented along the path."""
+    each as (edge index, direction), the direction +1 when the path runs
+    from the edge's tail to its head and -1 when it runs back."""
     first, last = qg.class_of[start], qg.class_of[end]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(len(qg.classes))]
     for e in forest.edges:
@@ -368,8 +370,7 @@ def quotient_path(
     cur = last
     while cur != first:
         a, e = prev[cur]
-        u, v, _ = net.edges[e]
-        path.append((u, v) if qg.class_of[u] == a else (v, u))
+        path.append((e, 1 if qg.edge_classes[e][0] == a else -1))
         cur = a
     return path
 
@@ -828,71 +829,26 @@ def main_cycle(net: SuperportNetwork, forest: Forest) -> Optional[MainCycle]:
     return MainCycle(classes=string, edges=tuple(edges), paths=tuple(paths), ends=ends)
 
 
-def pattern_cycle_ends(net: SuperportNetwork, pattern: Sequence[int]) -> Optional[CycleEnds]:
-    """`main_cycle(net, forest).ends`, up to orientation, for every forest
-    with this boundary pattern, when its superport quotient has exactly one
-    cycle; None when it has none or more than one.
+def pattern_cycle_rank(net: SuperportNetwork, pattern: Sequence[int]) -> int:
+    """The number of independent cycles in the superport quotient of every
+    forest with this boundary pattern whose components all hold a boundary
+    vertex, as every forest with partitions does.
 
     The component-superport graph of a pattern has a node for each forest
-    component that holds a boundary vertex and one for each superport, and
-    an edge for each boundary vertex v, joining v's component to v's
-    superport.  It has as many independent cycles as the quotient of every
-    forest with the pattern: a forest with c components, b of them holding
-    boundary vertices, has n - c edges on n - m + p classes, and its image
-    has c - b components without boundary vertices besides one for each
-    component of the graph, so both cycle ranks are m - b - p plus the
-    graph's component count.  With one cycle, the quotient's cycle crosses
-    each component on it by a forest path from the boundary vertex where it
-    enters to the one where it leaves, and goes on through that vertex's
-    superport class to the next component, entering it at another vertex
-    of the superport.  The graph's cycle takes the same vertices as its
-    edges, path heads and path tails in turn, so the ends are its two
-    alternating halves.  The leaves of the graph are stripped until only
-    its cycles are left; one cycle is left iff every node left has two
-    edges and a walk from one edge covers them all.
-
-    The ends come from the pattern alone, not from one forest of the key,
-    so that the involution can be checked per key from a grove table with
-    no forest at hand, as a table filled past the edge cap will be.
+    component label and one for each superport, and an edge for each
+    boundary vertex v, joining v's component to v's superport.  A forest
+    with c components, all holding boundary vertices, has n - c edges on
+    n - m + p classes, and its image has one component for each component
+    of the graph, so both cycle ranks are edges - nodes + components of the
+    graph, m - c - p plus its component count.
     """
-    m = net.m
+    m, p = net.m, net.p
     index = net.superport_index
     # component nodes are the labels 1..m, superport k is node m + 1 + k
-    joins = [(0, 0)] + [(pattern[v - 1], m + 1 + index[v]) for v in range(1, m + 1)]
-    incident: list[list[int]] = [[] for _ in range(m + 1 + net.p)]
-    for v in range(1, m + 1):
-        for node in joins[v]:
-            incident[node].append(v)
-    left = set(range(1, m + 1))
-    leaves = [node for node, edges in enumerate(incident) if len(edges) == 1]
-    while leaves:
-        node = leaves.pop()
-        if len(incident[node]) != 1:
-            continue  # its one edge went with the neighbour it joined
-        v = incident[node].pop()
-        left.discard(v)
-        a, b = joins[v]
-        far = b if a == node else a
-        incident[far].remove(v)
-        if len(incident[far]) == 1:
-            leaves.append(far)
-    if not left or any(len(edges) > 2 for edges in incident):
-        return None
-    # walk the cycle from its least edge, leaving that edge's component
-    start = min(left)
-    walk, v, node = [], start, joins[start][0]
-    while True:
-        walk.append(v)
-        a, b = joins[v]
-        node = b if a == node else a
-        first, second = incident[node]
-        v = second if first == v else first
-        if v == start:
-            break
-    if len(walk) != len(left):
-        return None  # another cycle does not meet this one
-    # each path ends at the edge that leaves its component
-    return CycleEnds(frozenset(walk[1::2]), frozenset(walk[::2]))
+    joins = ((pattern[v - 1], m + 1 + index[v]) for v in range(1, m + 1))
+    least, _ = _join(m + 1 + p, joins)
+    nodes = {*pattern, *range(m + 1, m + 1 + p)}
+    return m - len(nodes) + len({least[node] for node in nodes})
 
 
 def involution_f(
@@ -1029,6 +985,13 @@ class ForestPass:
         edges = self.net.n - count
         units = sum(sign(key) * units for key, units in self.units.items() if key[0] == edges)
         return Fraction(units, self.scale ** edges)
+
+    @cached_property
+    def valid_weight(self) -> Fraction:
+        """The weight of the valid forests, which have m - p + 1 components:
+        one scan of the table, made on the first read after `run`."""
+        net = self.net
+        return self.weight(net.m - net.p + 1, lambda key: self.facts(key).valid)
 
     def facts(self, key: Key) -> PatternFacts:
         """Validity, relative validity and the signed partitions of the

@@ -29,16 +29,18 @@ scan to `weight`, the general form, pair by pair.  Validity, signs,
 groupings and signed partitions are decided once per key.  The statements
 about single forests, the cancellation involution and the combinatorial
 voltages and currents, register takers on the pass instead, which receive
-each forest whose key admits it; the cancellation checks its involution
-once per key whose pattern fixes the main-cycle ends, and once per key and
-ends elsewhere.  `run_verifications` registers what every
-requested theorem needs, enumerates once if any of them reads forests, and
-then lets each theorem sum and compare; K, C and L are built once, by the
-first report that reads them.  A standalone verifier runs the same sums on
-a pass of its own, through the same steps.  An exception raised inside a
-taker, while the pass decides a key's facts, or in a finish step is the
-program's fault, not the identity's, but it still makes a failed report,
-whose witness names the error, and the other reports run on.
+each forest whose key admits it; the cancellation searches for the main
+cycle on one forest of each key whose quotients have one cycle, and checks
+its involution once per key and main-cycle ends.  `run_verifications`
+registers what every requested theorem needs, enumerates once if any of
+them reads forests, and then lets each theorem sum and compare; K, C and L
+are built once, by the first report that reads them, and the valid weight
+once per pass (`ForestPass.valid_weight`).  A standalone verifier runs the
+same sums on a pass of its own, through the same steps.  An exception
+raised inside a taker, while the pass decides a key's facts, or in a
+finish step is the program's fault, not the identity's, but it still makes
+a failed report, whose witness names the error, and the other reports run
+on.
 
 Identities covered:
 
@@ -79,7 +81,7 @@ from .forests import (
     PatternFacts,
     check_cap,
     main_cycle,
-    pattern_cycle_ends,
+    pattern_cycle_rank,
     pattern_is_tree,
     pattern_separates,
     pattern_sign,
@@ -395,12 +397,6 @@ def _need_non_roots(net: SuperportNetwork) -> None:
         raise NoNonRootVertices("every boundary vertex is a root")
 
 
-def _valid(p: ForestPass) -> Fraction:
-    """The weight of the valid forests, which have m - p + 1 components."""
-    net = p.net
-    return p.weight(net.m - net.p + 1, lambda key: p.facts(key).valid)
-
-
 def _entry_sums(p: ForestPass) -> dict[tuple[int, int], Fraction]:
     """By each pair of non-roots (i, j), in one scan of the table: the
     weight of the forests valid relative to both, each signed by
@@ -431,7 +427,7 @@ def _entries(p: ForestPass) -> Finish:
 
     def report(matrices: Matrices) -> Report:
         L = matrices().superport_response
-        D = _valid(p)
+        D = p.valid_weight
         sums = _entry_sums(p)
         checks = _Checks("response-entries", net)
         for i in nr:
@@ -457,7 +453,7 @@ def _det_L(p: ForestPass) -> Finish:
 
     def report(matrices: Matrices) -> Report:
         lhs = matrices().superport_response.det()
-        rhs = _grove(p, (1,) * net.m) / _valid(p)
+        rhs = _grove(p, (1,) * net.m) / p.valid_weight
         checks = _Checks("det-response", net)
         checks.compare(lhs, rhs)
         return checks.report(rat_str(lhs), rat_str(rhs))
@@ -525,7 +521,7 @@ def _signed_sum(p: ForestPass) -> Finish:
 
     def report(matrices: Matrices) -> Report:
         lhs = p.weight(count, lambda key: sum(sign for _, sign in p.facts(key).partitions))
-        rhs = _valid(p)
+        rhs = p.valid_weight
         checks = _Checks("signed-sum", net)
         checks.compare(lhs, rhs)
         return checks.report(rat_str(lhs), rat_str(rhs))
@@ -548,9 +544,9 @@ def _cancellation(p: ForestPass) -> Finish:
         checks.fail(lhs, rhs, forest=list(forest.edges), note=note)
 
     m1 = net.m + 1
-    # key -> the signed count of its partitions, and the main-cycle ends of
-    # all its forests or None
+    # key -> the signed count of its partitions, and whether its quotients have one cycle
     decided: dict = {}
+    key_ends: dict = {}  # one-cycle key -> the main-cycle ends of its first forest
     faults: dict = {}  # (key, main-cycle ends) -> how the involution fails, or None
 
     def add(f: Forest, facts: PatternFacts) -> None:
@@ -566,19 +562,23 @@ def _cancellation(p: ForestPass) -> Finish:
             return
         key = (len(f.edges), f.components[1:m1])
         if key not in decided:
-            decided[key] = sum(sign for _, sign in parts), pattern_cycle_ends(net, key[1])
-        signed, ends = decided[key]
+            decided[key] = sum(sign for _, sign in parts), pattern_cycle_rank(net, key[1]) == 1
+        signed, one_cycle = decided[key]
         if signed != 0:
             fail(signed, 0, f, "non-valid forest signed count")
             return
         # the key fixes the signed partitions and the involution reads only
         # the cycle's ends, in either order, so every forest sharing both
-        # fares alike; a quotient with one cycle has the key's ends
+        # fares alike; the forests of a one-cycle key share their ends up to
+        # orientation, so the key's first forest gives them
+        ends = key_ends.get(key)
         if ends is None:
             mc = main_cycle(net, f)
             if mc is None:
                 raise ForestIsValid("the forest's quotient has no cycle")
             ends = mc.ends
+            if one_cycle:
+                key_ends[key] = ends
         shared = (key, ends)
         if shared not in faults:
             faults[shared] = _involution_fault(ends, parts)
@@ -618,11 +618,12 @@ def verify_cancellation(net: SuperportNetwork) -> Report:
     forest with the opposite sign, f o f is the identity, and the signed sum
     over the forest's partitions is zero.  The key fixes the signed
     partitions, and f reads only the ends of the forest's main cycle, in
-    either order.  So the signed count is decided once per key, and so are
-    the ends when the key's quotients have one cycle
-    (`forests.pattern_cycle_ends`), with the involution checked once for the
-    key; on the other keys the main cycle is searched for on each forest,
-    and the involution checked once per key and ends.
+    either order.  So the signed count is decided once per key.  When the
+    key's quotients have one cycle (`forests.pattern_cycle_rank`), its
+    forests share those ends up to orientation: the main cycle is searched
+    for on the key's first forest only, and the involution checked once for
+    the key.  On the other keys the main cycle is searched for on each
+    forest, and the involution checked once per key and ends.
     """
     return _alone(net, _cancellation)
 
@@ -638,7 +639,7 @@ def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
     n, m = net.n, net.m
     terms = [(i, du, net.quotient((i,))) for i, du in circuit.deltas if du != 0]
     volt = {i: [0] * (n + 1) for i, _, _ in terms}
-    flow: dict[int, dict[tuple[int, int], int]] = {i: {} for i, _, _ in terms}
+    flow = {i: [0] * len(net.edges) for i, _, _ in terms}
 
     def add_voltages(f: Forest, _: PatternFacts) -> None:
         for i, _, qg in terms:
@@ -654,8 +655,8 @@ def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
             if i not in facts.relative:
                 continue
             units = flow[i]
-            for edge in quotient_path(net, qg, f, i, net.root_of[i]):
-                units[edge] = units.get(edge, 0) + f.units
+            for e, direction in quotient_path(qg, f, i, net.root_of[i]):
+                units[e] += direction * f.units
 
     p.want(lambda facts: facts.valid, add_voltages)
     p.want(lambda facts: any(i in facts.relative for i, _, _ in terms), add_currents)
@@ -664,17 +665,14 @@ def _solution(p: ForestPass, circuit: Circuit) -> Callable[[], Solution]:
         # voltage sums add the units of valid forests and current sums those
         # of forests with one edge more, so against the valid forests' units
         # only one factor of the scale is left, on the currents
-        valid = _valid(p) * p.scale ** (n - (m - net.p + 1))
+        valid = p.valid_weight * p.scale ** (n - (m - net.p + 1))
         voltages = tuple(
             sum((du * (volt[i][v] - volt[i][m]) for i, du, _ in terms), Fraction(0)) / valid
             for v in range(1, n + 1)
         )
         currents = [
-            sum(
-                (du * (flow[i].get((u, v), 0) - flow[i].get((v, u), 0)) for i, du, _ in terms),
-                Fraction(0),
-            ) / (valid * p.scale)
-            for u, v, _ in net.edges
+            sum((du * flow[i][e] for i, du, _ in terms), Fraction(0)) / (valid * p.scale)
+            for e in range(len(net.edges))
         ]
         return Solution.from_edge_currents(net, voltages, currents)
 

@@ -55,7 +55,7 @@ from superport.forests import (
     main_cycle,
     partition_sign,
     partitions_for_forest,
-    pattern_cycle_ends,
+    pattern_cycle_rank,
     pattern_is_tree,
     pattern_partition_sign,
     pattern_partitions,
@@ -261,6 +261,24 @@ def test_a_pass_is_freed_without_the_collector(monkeypatch):
         assert [ref() for ref in passes] == [None, None]
     finally:
         gc.enable()
+
+
+def test_the_valid_weight_is_summed_once_per_pass(monkeypatch):
+    # four reports divide by the valid weight: the entries, det L, the
+    # signed sum and the forest solution; one scan of the table serves them
+    signs = []
+    weight = ForestPass.weight
+
+    def counting(self, count, *sign):
+        signs.extend(s.__qualname__ for s in sign)
+        return weight(self, count, *sign)
+
+    monkeypatch.setattr(ForestPass, "weight", counting)
+    reports = run_verifications(w_network(2, 3, 5, 7), ["all"], rng=random.Random(0))
+    theorems = {r.theorem for r in reports}
+    assert all(r.ok for r in reports)
+    assert {"response-entries", "det-response", "signed-sum", "forest-solution"} <= theorems
+    assert signs.count("ForestPass.valid_weight.<locals>.<lambda>") == 1
 
 
 def test_response_matrices_builds_K_once(monkeypatch):
@@ -471,12 +489,13 @@ def test_pattern_facts_are_decided_once_per_key(monkeypatch):
         assert made and len(made) == len(set(made))
     assert len(partition_calls) == len(keys)
     assert len(grouped[0]) < len(every)
-    # the involution is a statement about one forest, but a key whose
-    # quotients have one cycle fixes its ends: the main cycle is searched
-    # for once per non-valid forest with partitions of the other keys.  With
-    # partitions, the component-superport graph has m + 1 nodes and m edges,
-    # so two cycles need m >= 5: on this network (m = 4) there is no search,
-    # and on multi_cycle_network (m = 5) one per forest of its two-cycle keys
+    # the involution is a statement about one forest, but the forests of a
+    # key whose quotients have one cycle share its main-cycle ends: the main
+    # cycle is searched for on the first non-valid forest with partitions of
+    # each such key, and on every one of the other keys.  With partitions,
+    # the component-superport graph has m + 1 nodes and m edges, so two
+    # cycles need m >= 5: this network (m = 4) has no other key, and
+    # multi_cycle_network (m = 5) has 4 forests on two-cycle keys
     for net in (net, multi_cycle_network()):
         del cycles[:]
         reports = run_verifications(net, ["all"], rng=random.Random(0))
@@ -485,9 +504,13 @@ def test_pattern_facts_are_decided_once_per_key(monkeypatch):
             f for f in enumerate_spanning_forests(net)
             if not is_valid(f, net) and any(partitions_for_forest(net, f))
         ]
-        assert cycled
-        searched = [f for f in cycled if pattern_cycle_ends(net, key_of(net, f)[1]) is None]
-        assert len(searched) == (0 if net.m == 4 else 4)
+        first = {}
+        for f in cycled:
+            first.setdefault(key_of(net, f), f)
+        many = [f for f in cycled if pattern_cycle_rank(net, key_of(net, f)[1]) != 1]
+        assert len(many) == (0 if net.m == 4 else 4)
+        searched = [f for f in cycled if f in many or first[key_of(net, f)] is f]
+        assert searched and len(searched) < len(cycled)
         assert [args[1] for args in cycles] == searched
 
 
@@ -551,13 +574,18 @@ def test_a_tracked_walk_folds_the_forests_no_taker_reads(seed, p_max):
 
 def cycled_forests(net):
     """The non-valid forests with partitions, in enumeration order, each with
-    its key and the cycle ends the cancellation reads: the key's own when
-    its quotients have one cycle, else its main cycle's."""
-    return [
-        (f, key_of(net, f), pattern_cycle_ends(net, key_of(net, f)[1]) or main_cycle(net, f).ends)
-        for f in enumerate_spanning_forests(net)
-        if not is_valid(f, net) and any(partitions_for_forest(net, f))
-    ]
+    its key and the cycle ends the cancellation reads: those of the key's
+    first forest when its quotients have one cycle, else its main cycle's."""
+    cycled, first_ends = [], {}
+    for f in enumerate_spanning_forests(net):
+        if is_valid(f, net) or not any(partitions_for_forest(net, f)):
+            continue
+        key = key_of(net, f)
+        ends = first_ends.get(key) or main_cycle(net, f).ends
+        if pattern_cycle_rank(net, key[1]) == 1:
+            first_ends.setdefault(key, ends)
+        cycled.append((f, key, ends))
+    return cycled
 
 
 def test_cancellation_checks_the_involution_once_per_key_and_ends(monkeypatch):
@@ -607,7 +635,7 @@ def test_an_involution_failing_on_one_key_and_ends_names_its_first_forest(monkey
     bad_key, bad_ends = next(
         (key, ends) for _, key, ends in cycled if set(ends) != set(first_ends[key])
     )
-    assert bad_key == (3, (1, 1, 3, 3, 5)) and pattern_cycle_ends(net, bad_key[1]) is None
+    assert bad_key == (3, (1, 1, 3, 3, 5)) and pattern_cycle_rank(net, bad_key[1]) == 2
     bad_parts = set(pattern_partitions(net, *bad_key))
     witness = next(
         f for f, key, ends in cycled
@@ -685,7 +713,7 @@ def test_a_raising_taker_fails_its_report_and_the_others_still_run(monkeypatch):
     reports = [r.to_data() for r in run_verifications(net, ["all"], rng=random.Random(0))]
     # the currents taker raised on its first forest and took no more
     assert len(calls) == 1
-    forest = calls[0][2]
+    forest = calls[0][1]
     failed = [r for r in reports if r["status"] != "pass"]
     assert failed == [{
         "theorem": "forest-solution",

@@ -31,7 +31,7 @@ from superport import (
     unify_superports,
 )
 
-from superport.forests import CycleEnds, pattern_cycle_ends
+from superport.forests import CycleEnds, pattern_cycle_rank, quotient_components
 
 from conftest import multi_cycle_network, side_square, w_network
 from test_sweep import small_networks
@@ -531,36 +531,24 @@ def test_main_cycle_is_the_least_listed_cycle(seed, p_max):
         assert mc.ends == (frozenset(tails), frozenset(heads))
 
 
-def component_superport_rank(net, pattern) -> int:
-    """The cycle rank of a pattern's component-superport graph: a node per
-    component label and per superport, an edge per boundary vertex; each
-    edge whose ends a union-find has already joined closes a cycle."""
-    root = {}
-
-    def find(node):
-        while root.setdefault(node, node) != node:
-            node = root[node]
-        return node
-
-    rank = 0
-    for v in range(1, net.m + 1):
-        a, b = find(("component", pattern[v - 1])), find(("superport", net.superport_index[v]))
-        if a == b:
-            rank += 1
-        else:
-            root[a] = b
-    return rank
+def quotient_cycle_rank(net, forest) -> int:
+    """The cycle rank of the forest's superport quotient, edges - classes +
+    components, joined from the forest's edges."""
+    qg = net.quotient()
+    root = quotient_components(qg, forest)[0]
+    return len(forest.edges) - len(qg.classes) + len(set(root))
 
 
 def check_cycle_ends(net) -> tuple[int, int]:
-    """Hold `pattern_cycle_ends` to the main cycle on every non-valid forest
-    with partitions: None iff the forest's quotient, and so the key's
-    component-superport graph, has other than one cycle, else the main
-    cycle's ends in one order or the other; and the involution gives each
-    partition one image under both orders of the main cycle's ends.
-    Returns the number of forests whose quotient has one cycle, and of
-    those whose quotient has more."""
+    """Hold `pattern_cycle_rank` to the quotient of every non-valid forest
+    with partitions: its cycle rank, and 1 exactly when the forest has one
+    simple quotient cycle; every forest of a one-cycle key has the main
+    cycle ends of the key's first forest, in one order or the other; and
+    the involution gives each partition one image under both orders of the
+    main cycle's ends.  Returns the number of forests whose quotient has one
+    cycle, and of those whose quotient has more."""
     one = more = 0
+    first_ends = {}
     for f in enumerate_spanning_forests(net):
         parts = list(partitions_for_forest(net, f))
         if is_valid(f, net) or not parts:
@@ -570,24 +558,25 @@ def check_cycle_ends(net) -> tuple[int, int]:
             assert CycleEnds(U, V).involution(part) == CycleEnds(V, U).involution(part)
         cycles = {frozenset(edges) for _, edges in simple_quotient_cycles(net, f)}
         pattern = f.components[1 : net.m + 1]
-        assert (len(cycles) == 1) == (component_superport_rank(net, pattern) == 1)
-        ends = pattern_cycle_ends(net, pattern)
+        rank = pattern_cycle_rank(net, pattern)
+        assert rank == quotient_cycle_rank(net, f)
+        assert (rank == 1) == (len(cycles) == 1)
         if len(cycles) == 1:
+            ends = first_ends.setdefault((len(f.edges), pattern), (U, V))
             assert ends in ((U, V), (V, U))
             one += 1
         else:
-            assert ends is None
             more += 1
     return one, more
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=1, max_value=4))
-def test_pattern_cycle_ends_are_the_main_cycle_ends(seed, p_max):
+def test_one_cycle_keys_share_their_first_main_cycle_ends(seed, p_max):
     check_cycle_ends(random_network(random.Random(seed), max_n=7, max_edges=10, p_max=p_max))
 
 
-def test_pattern_cycle_ends_on_every_small_network():
+def test_pattern_cycle_rank_on_every_small_network():
     # no network on four vertices has a forest with partitions whose
     # quotient has two cycles; the multi-cycle network has four
     one, more = map(sum, zip(*map(check_cycle_ends, small_networks())))

@@ -34,7 +34,7 @@ from superport import (
     solve,
     verify,
 )
-from superport.forests import ForestPass, pattern_cycle_ends
+from superport.forests import ForestPass, pattern_cycle_rank
 
 # the hook names functions by `co_qualname`, which code objects carry from 3.11
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
@@ -106,12 +106,12 @@ def forest_route(net: SuperportNetwork) -> None:
     if m >= 2:
         verify._all_minors(p, (1,), (2,), (), H)
         verify._grove(p, (1, 1, *range(3, m + 1)))
-    verify._valid(p)
+    p.valid_weight
     verify._entry_sums(p)
     p.weight(m - net.p + 1, lambda key: sum(sign for _, sign in p.facts(key).partitions))
-    # the cancellation reads each key's main-cycle ends from its pattern
+    # the cancellation reads each key's cycle rank from its pattern
     for _, pattern in p.units:
-        pattern_cycle_ends(net, pattern)
+        pattern_cycle_rank(net, pattern)
 
 
 def test_the_routes_share_only_network_accessors():
@@ -120,7 +120,7 @@ def test_the_routes_share_only_network_accessors():
         net = random_network(rng, require_nonroots=True)
         matrix, forest = reached(matrix_route, net), reached(forest_route, net)
         assert "solver.response_matrices" in matrix and "forests._walk" in forest
-        assert "forests.pattern_cycle_ends" in forest
+        assert "forests.pattern_cycle_rank" in forest
         assert matrix & forest <= SHARED, sorted(matrix & forest - SHARED)
 
 

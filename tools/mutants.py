@@ -124,18 +124,21 @@ MUTANTS = {
         "shared = (key, ends)",
         "shared = key",
     ),
-    # a key's main-cycle ends read from its pattern.  Swapping the two halves
-    # is an equivalent mutant: the involution tries both orders of the ends
-    # and at most one matches, so it is left out
-    "cycle-ends-skips-one-cycle-test": (
+    # a key's cycle rank, and the main-cycle ends a one-cycle key keeps from
+    # its first forest.  Neither can change a report: the rank only chooses
+    # which forests are searched, and the partitions and so the involution
+    # check depend on the key alone, so a key that keeps its first forest's
+    # ends repeats that forest's check.  The tier-1 tests that count the
+    # searches and hold the rank to the quotient see them
+    "cycle-rank-counts-nodes": (
         "forests.py",
-        "    if len(walk) != len(left):\n        return None  # another cycle does not meet this one\n",
-        "",
+        "return m - len(nodes) + len({least[node] for node in nodes})",
+        "return m - len(nodes) + len(nodes)",
     ),
-    "cycle-ends-vertex-in-wrong-half": (
-        "forests.py",
-        "return CycleEnds(frozenset(walk[1::2]), frozenset(walk[::2]))",
-        "return CycleEnds(frozenset(walk[:2] + walk[3::2]), frozenset(walk[2::2]))",
+    "cancellation-keeps-ends-on-every-key": (
+        "verify.py",
+        "            if one_cycle:\n                key_ends[key] = ends\n",
+        "            key_ends[key] = ends\n",
     ),
     # the grove table key, tracked by the walk
     "key-drops-edge-count": (
@@ -305,9 +308,16 @@ MUTANTS = {
     # a forest-side sum read from the matrix route: its values are right, so
     # the campaign passes, and tests/test_routes.py sees the routes cross
     "valid-weight-from-det-l": (
-        "verify.py",
-        "    return p.weight(net.m - net.p + 1, lambda key: p.facts(key).valid)\n",
-        "    return p.weight(1) / response_matrices(net).superport_response.det()\n",
+        "forests.py",
+        "        return self.weight(net.m - net.p + 1, lambda key: self.facts(key).valid)\n",
+        "        from .solver import response_matrices\n\n"
+        "        return self.weight(1) / response_matrices(net).superport_response.det()\n",
+    ),
+    # the combinatorial currents: each path edge counted along its direction
+    "forest-current-direction-flipped": (
+        "forests.py",
+        "path.append((e, 1 if qg.edge_classes[e][0] == a else -1))",
+        "path.append((e, -1 if qg.edge_classes[e][0] == a else 1))",
     ),
     # the gluing statement's quotient circuit, merged by the loader
     "gluing-keeps-last-conductance": (

@@ -9,9 +9,11 @@ networks) and checks, on each network,
   sweep;
 * every Kenyon-Wilson minor (X and Y ordered and disjoint, Z any set of the
   rest), through ``verify_kw_minor``;
-* the main-cycle ends that the cancellation reads from a key's pattern,
-  ``forests.pattern_cycle_ends``, against ``main_cycle`` on every non-valid
-  forest with partitions (``check_cycle_ends`` of ``tests/test_forests.py``).
+* the cycle rank that the cancellation reads from a key's pattern,
+  ``forests.pattern_cycle_rank``, against the quotient of every non-valid
+  forest with partitions, and the main-cycle ends of every forest of a
+  one-cycle key against those of the key's first forest
+  (``check_cycle_ends`` of ``tests/test_forests.py``).
 
 It prints one line per failure, with the network, and a summary line, and
 exits 1 if anything failed.  The cycle-end check asserts, so the script
@@ -69,7 +71,7 @@ def main() -> int:
         try:
             counts = check_cycle_ends(net)
         except AssertionError as exc:
-            failed(net, f"pattern_cycle_ends disagrees with main_cycle: {exc!r}")
+            failed(net, f"the cycle rank or a key's cycle ends disagree: {exc!r}")
         else:
             one, more = one + counts[0], more + counts[1]
     print(
